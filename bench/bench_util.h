@@ -122,9 +122,10 @@ class BenchResultWriter {
 
 #if defined(BENCHMARK_BENCHMARK_H_)
 // Only for binaries that included <benchmark/benchmark.h> *before* this
-// header: a console reporter that also tees every per-iteration run into
-// a BenchResultWriter, and a drop-in BENCHMARK_MAIN() replacement that
-// writes the JSON artifact after the console table.
+// header: a console reporter that also tees every per-iteration run (its
+// time and its user counters) into a BenchResultWriter, and a drop-in
+// BENCHMARK_MAIN() replacement that writes the JSON artifact after the
+// console table.
 
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
@@ -139,6 +140,14 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       if (run.run_type == Run::RT_Aggregate) continue;
       writer_->Add(run.benchmark_name(), run.GetAdjustedRealTime(),
                    benchmark::GetTimeUnitString(run.time_unit));
+      // User counters ride along as "<benchmark>/<counter>" rows; the
+      // runner has already turned rate counters into per-second values.
+      for (const auto& [name, counter] : run.counters) {
+        writer_->Add(run.benchmark_name() + "/" + name, counter.value,
+                     (counter.flags & benchmark::Counter::kIsRate) != 0
+                         ? "1/s"
+                         : "");
+      }
     }
   }
 

@@ -76,18 +76,20 @@ ctest --test-dir "$repo_root/build-asan" --output-on-failure -j "$jobs" \
 
 echo "==> durability fault-injection sweep under ASan/UBSan"
 # Explicit leg for the env-level fault sweep (ENOSPC/EIO/short
-# writes/failed fsync at every syscall site): acked-then-lost bugs and
+# writes/failed fsync at every syscall site, injected through
+# SimulatedEnv) and the env-site unit tests: acked-then-lost bugs and
 # the sticky-failure rule are exactly what ASan-visible lifetime bugs
 # hide behind.
 ctest --test-dir "$repo_root/build-asan" --output-on-failure -j "$jobs" \
-  -R 'DurabilitySweep'
+  -R 'DurabilitySweep|SimEnvFault'
 
 echo "==> thread sanitizer build + concurrency tests"
 if [[ ${#CTEST_ARGS[@]} -eq 0 ]]; then
   # Default to the suites that exercise real concurrency: the serving
-  # chaos harness, thread pool, map-reduce, the locking/txn layer, and
-  # the metrics/tracing hot paths (sharded atomics + lock-free rings).
-  CTEST_ARGS=(-R 'ServeChaos|CircuitBreaker|Frontend|ThreadPool|MapReduce|Concurren|Lock|Metrics|Trace|Exposition|Logging|ParallelExec|ResultCache')
+  # chaos harness, thread pool, the parallel EXTRACT reference check,
+  # the locking/txn layer, and the metrics/tracing hot paths (sharded
+  # atomics + lock-free rings).
+  CTEST_ARGS=(-R 'ServeChaos|CircuitBreaker|Frontend|ThreadPool|ExecutorExtract|Concurren|Lock|Metrics|Trace|Exposition|Logging|ParallelExec|ResultCache')
 fi
 run_suite "$repo_root/build-tsan" -DSTRUCTURA_SANITIZE=thread
 

@@ -59,10 +59,6 @@ struct Interrupt {
   CancellationToken token;
 
   Status Check() const;
-
-  bool CanInterrupt() const {
-    return !deadline.IsInfinite() || token.cancelled();
-  }
 };
 
 }  // namespace structura

@@ -23,13 +23,6 @@ Status ErrnoStatus(const char* what, const std::string& path, int err) {
   return Status::IoError(std::move(msg));
 }
 
-/// Converts a fired failpoint status into an injected i/o error,
-/// keeping the failpoint's own message (site name + hit count) for
-/// test assertions.
-Status InjectedIo(const Status& fired) {
-  return Status::IoError("injected i/o error: " + fired.message());
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -256,95 +249,6 @@ Status AtomicReplaceFile(Env* env, const std::string& path,
   std::string parent = slash == std::string::npos ? std::string(".")
                                                   : path.substr(0, slash);
   return env->SyncDir(parent);
-}
-
-// ---------------------------------------------------------------------
-// FaultInjectingEnv
-// ---------------------------------------------------------------------
-
-namespace {
-
-class FaultInjectingFile : public WritableFile {
- public:
-  FaultInjectingFile(std::string path, Env* env,
-                     std::unique_ptr<WritableFile> base)
-      : WritableFile(std::move(path), env), base_(std::move(base)) {}
-
- protected:
-  Status DoAppend(std::string_view data) override {
-    if (Status fired = MaybeFail("env.write.enospc"); !fired.ok()) {
-      return Status::ResourceExhausted("injected ENOSPC: " +
-                                       fired.message());
-    }
-    if (Status fired = MaybeFail("env.write"); !fired.ok()) {
-      return InjectedIo(fired);
-    }
-    if (Status fired = MaybeFail("env.write.short"); !fired.ok()) {
-      // Power cut mid-write: a prefix reaches the file, then the
-      // "device" dies. The sticky wrapper guarantees nothing is ever
-      // appended after the torn bytes, so they stay the file's tail —
-      // exactly what recovery-time torn-tail truncation expects.
-      base_->Append(data.substr(0, data.size() / 2));
-      return Status::IoError("injected power cut (short write): " +
-                             fired.message());
-    }
-    return base_->Append(data);
-  }
-
-  Status DoFlush() override { return base_->Flush(); }
-
-  Status DoSync() override {
-    if (Status fired = MaybeFail("env.sync"); !fired.ok()) {
-      return InjectedIo(fired);
-    }
-    return base_->Sync();
-  }
-
-  Status DoClose() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<WritableFile> base_;
-};
-
-}  // namespace
-
-FaultInjectingEnv::FaultInjectingEnv(Env* base)
-    : base_(base != nullptr ? base : Env::Default()) {}
-
-Result<std::unique_ptr<WritableFile>> FaultInjectingEnv::NewWritableFile(
-    const std::string& path, bool truncate) {
-  if (Status fired = MaybeFail("env.open"); !fired.ok()) {
-    Status s = InjectedIo(fired);
-    ReportIoFailure(path, s);
-    return s;
-  }
-  STRUCTURA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
-                             base_->NewWritableFile(path, truncate));
-  return std::unique_ptr<WritableFile>(
-      new FaultInjectingFile(path, this, std::move(base)));
-}
-
-Status FaultInjectingEnv::RenameFile(const std::string& from,
-                                     const std::string& to) {
-  if (Status fired = MaybeFail("env.rename"); !fired.ok()) {
-    Status s = InjectedIo(fired);
-    ReportIoFailure(to, s);
-    return s;
-  }
-  return base_->RenameFile(from, to);
-}
-
-Status FaultInjectingEnv::SyncDir(const std::string& dir) {
-  if (Status fired = MaybeFail("env.syncdir"); !fired.ok()) {
-    Status s = InjectedIo(fired);
-    ReportIoFailure(dir, s);
-    return s;
-  }
-  return base_->SyncDir(dir);
-}
-
-Status FaultInjectingEnv::RemoveFile(const std::string& path) {
-  return base_->RemoveFile(path);
 }
 
 }  // namespace structura

@@ -84,7 +84,8 @@ class WritableFile {
 
 /// The storage I/O environment: how the system touches the filesystem.
 /// Production code uses Env::Default() (a PosixEnv); tests wrap it in a
-/// FaultInjectingEnv to inject ENOSPC/EIO/short writes at the syscall
+/// SimulatedEnv (common/sim_env.h), which injects power cuts and, at
+/// the `env.*` failpoint sites, ENOSPC/EIO/short writes at the syscall
 /// boundary. The env also keeps an i/o-failure ledger — a count and
 /// last message of every unrecoverable failure its files and operations
 /// reported — which the `storage.disk` health signal polls.
@@ -143,34 +144,6 @@ class Env {
 Status AtomicReplaceFile(Env* env, const std::string& path,
                          std::string_view contents,
                          const char* pre_rename_failpoint = nullptr);
-
-/// Env wrapper injecting faults at the syscall boundary, keyed off the
-/// failpoint registry (common/failpoint.h). Sites:
-///   env.open          NewWritableFile fails (kIoError)
-///   env.write         Append fails with kIoError, no bytes written
-///   env.write.enospc  Append fails with kResourceExhausted (full disk)
-///   env.write.short   power cut mid-write: half the bytes reach the
-///                     file, then kIoError; the file latches sticky so
-///                     the torn bytes are guaranteed to stay the tail
-///   env.sync          Sync fails with kIoError (fsyncgate scenario)
-///   env.rename        RenameFile fails with kIoError
-///   env.syncdir       SyncDir fails with kIoError
-/// Every injected failure is reported to THIS env's ledger (not the
-/// base env's), so the health signal under test observes it.
-class FaultInjectingEnv : public Env {
- public:
-  /// `base` must outlive this env; defaults to Env::Default().
-  explicit FaultInjectingEnv(Env* base = nullptr);
-
-  Result<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path, bool truncate) override;
-  Status RenameFile(const std::string& from, const std::string& to) override;
-  Status SyncDir(const std::string& dir) override;
-  Status RemoveFile(const std::string& path) override;
-
- private:
-  Env* base_;
-};
 
 }  // namespace structura
 

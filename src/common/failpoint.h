@@ -36,18 +36,19 @@ namespace structura {
 ///   snapshot.append     storage::SnapshotStore::Append
 ///   snapshot.delta      a stored snapshot delta; corruption specs damage
 ///                       it after its content checksum was recorded
-///   mr.reduce           mr::MapReduceJob reduce-task attempt
 ///   ie.extract          one (document, extractor) run; also evaluated as
 ///                       "ie.extract.<name>" to target a single operator
-///   env.open            FaultInjectingEnv::NewWritableFile (kIoError)
-///   env.write           FaultInjectingEnv file append (kIoError, no
-///                       bytes written)
+///   serve.op            before each serve::Frontend handler attempt;
+///                       also evaluated as "serve.op.<name>"
+///   env.open            SimulatedEnv::NewWritableFile (kIoError)
+///   env.write           SimulatedEnv file append (kIoError, no bytes
+///                       written)
 ///   env.write.enospc    same site, fails with kResourceExhausted
 ///   env.write.short     same site, power cut: half the bytes land,
 ///                       then kIoError and the file latches sticky
-///   env.sync            FaultInjectingEnv fsync (kIoError)
-///   env.rename          FaultInjectingEnv::RenameFile (kIoError)
-///   env.syncdir         FaultInjectingEnv::SyncDir (kIoError)
+///   env.sync            SimulatedEnv file sync (kIoError)
+///   env.rename          SimulatedEnv::RenameFile (kIoError)
+///   env.syncdir         SimulatedEnv::SyncDir (kIoError)
 class FailpointRegistry {
  public:
   /// Firing policy for one armed failpoint. Hit indices are 1-based and

@@ -8,8 +8,17 @@
 #include <set>
 #include <sstream>
 
+#include "common/failpoint.h"
+
 namespace structura {
 namespace {
+
+/// Converts a fired failpoint status into an injected i/o error,
+/// keeping the failpoint's own message (site name + hit count) for
+/// test assertions.
+Status InjectedIo(const Status& fired) {
+  return Status::IoError("injected i/o error: " + fired.message());
+}
 
 /// Parent directory by the same rule AtomicReplaceFile uses, so the
 /// dir a caller SyncDirs is string-identical to the dir the pending-op
@@ -87,6 +96,12 @@ Status SimulatedEnv::PowerLossError() const {
   return Status::IoError("simulated power loss (after op " +
                          std::to_string(op_count_) + ", sync " +
                          std::to_string(sync_count_) + ")");
+}
+
+Status SimulatedEnv::RefusalLocked(Gate gate, const char* site) const {
+  if (gate != Gate::kProceed) return PowerLossError();
+  Status fired = MaybeFail(site);
+  return fired.ok() ? fired : InjectedIo(fired);
 }
 
 SimulatedEnv::Gate SimulatedEnv::EnterOpLocked() {
@@ -172,8 +187,7 @@ Result<std::unique_ptr<WritableFile>> SimulatedEnv::NewWritableFile(
     const std::string& path, bool truncate) {
   {
     std::lock_guard<std::mutex> guard(mu_);
-    if (EnterOpLocked() != Gate::kProceed) {
-      Status s = PowerLossError();
+    if (Status s = RefusalLocked(EnterOpLocked(), "env.open"); !s.ok()) {
       ReportIoFailure(path, s);
       return s;
     }
@@ -219,8 +233,7 @@ Status SimulatedEnv::RenameFile(const std::string& from,
                                 const std::string& to) {
   {
     std::lock_guard<std::mutex> guard(mu_);
-    if (EnterOpLocked() != Gate::kProceed) {
-      Status s = PowerLossError();
+    if (Status s = RefusalLocked(EnterOpLocked(), "env.rename"); !s.ok()) {
       ReportIoFailure(to, s);
       return s;
     }
@@ -241,9 +254,8 @@ Status SimulatedEnv::RenameFile(const std::string& from,
 Status SimulatedEnv::SyncDir(const std::string& dir) {
   {
     std::lock_guard<std::mutex> guard(mu_);
-    Gate gate = EnterSyncLocked();
-    if (gate != Gate::kProceed) {
-      Status s = PowerLossError();
+    if (Status s = RefusalLocked(EnterSyncLocked(), "env.syncdir");
+        !s.ok()) {
       ReportIoFailure(dir, s);
       return s;
     }
@@ -294,6 +306,7 @@ Status SimulatedEnv::RemoveFile(const std::string& path) {
 
 Status SimulatedEnv::FileAppend(const std::string& path, WritableFile* base,
                                 std::string_view data) {
+  Status torn;
   {
     std::lock_guard<std::mutex> guard(mu_);
     Gate gate = EnterOpLocked();
@@ -309,16 +322,33 @@ Status SimulatedEnv::FileAppend(const std::string& path, WritableFile* base,
       return PowerLossError();
     }
     if (gate == Gate::kAlreadyOff) return PowerLossError();
+    if (Status fired = MaybeFail("env.write.enospc"); !fired.ok()) {
+      return Status::ResourceExhausted("injected ENOSPC: " +
+                                       fired.message());
+    }
+    if (Status fired = MaybeFail("env.write"); !fired.ok()) {
+      return InjectedIo(fired);
+    }
+    if (Status fired = MaybeFail("env.write.short"); !fired.ok()) {
+      // Power cut mid-write: a prefix reaches the file, then the
+      // "device" dies. The sticky latch guarantees nothing is ever
+      // appended after the torn bytes, so they stay the file's tail —
+      // exactly what recovery-time torn-tail truncation expects.
+      data = data.substr(0, data.size() / 2);
+      torn = Status::IoError("injected power cut (short write): " +
+                             fired.message());
+    }
     auto it = files_.find(path);
     if (it != files_.end()) it->second.unsynced.emplace_back(data);
   }
-  return base->Append(data);
+  Status s = base->Append(data);
+  return torn.ok() ? s : torn;
 }
 
 Status SimulatedEnv::FileSync(const std::string& path, WritableFile* base) {
   {
     std::lock_guard<std::mutex> guard(mu_);
-    if (EnterSyncLocked() != Gate::kProceed) return PowerLossError();
+    STRUCTURA_RETURN_IF_ERROR(RefusalLocked(EnterSyncLocked(), "env.sync"));
   }
   // Flush, not fsync: bytes must reach the OS (the repo's read paths
   // read the real files), but durability is the ledger's call — the

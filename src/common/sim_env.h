@@ -48,6 +48,15 @@ namespace structura {
 /// Files mutated outside the env (recovery-time truncations, direct
 /// filesystem calls) are adopted at the next env touch with their
 /// current real content as the durable baseline.
+///
+/// Device faults short of a power cut come from failpoints evaluated
+/// once an operation passed the power gate. `env.open`, `env.write`,
+/// `env.sync`, `env.rename` and `env.syncdir` fail their operation
+/// with kIoError and change nothing; `env.write.enospc` fails an
+/// append with kResourceExhausted (full disk); `env.write.short` lets
+/// half the bytes reach the file as an unsynced write, then fails with
+/// kIoError — the file latches sticky, so the torn bytes stay its
+/// tail. Every injected failure lands in THIS env's i/o-failure ledger.
 class SimulatedEnv : public Env {
  public:
   /// `base` performs the real I/O under the simulation (defaults to
@@ -185,6 +194,9 @@ class SimulatedEnv : public Env {
   /// Applies a pending kAfterSync cut once the sync completed.
   void LeaveSyncLocked();
   Status PowerLossError() const;
+  /// Why an operation that went through `gate` is refused: the power
+  /// loss, else the injected fault when failpoint `site` fires, else OK.
+  Status RefusalLocked(Gate gate, const char* site) const;
 
   /// Tracked state for `path`, adopting the real file's bytes as the
   /// durable baseline if the env has not seen it before. nullopt: no

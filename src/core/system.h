@@ -60,8 +60,8 @@ class System {
     std::string workspace;
     /// I/O environment for every durable store (WAL, checkpoint,
     /// intermediate segment log, snapshot journal). nullptr =
-    /// Env::Default(); tests pass a FaultInjectingEnv to exercise
-    /// syscall-level failures.
+    /// Env::Default(); tests pass a SimulatedEnv to exercise power
+    /// cuts and, through its `env.*` failpoints, syscall-level failures.
     Env* env = nullptr;
     /// Time source for every timer in the system (watchdog interval
     /// and cooldowns, WAL group-commit window). nullptr = real time;

@@ -1,7 +1,5 @@
 #include "ie/pipeline.h"
 
-#include <algorithm>
-
 #include "common/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,54 +60,6 @@ FactSet RunExtractors(const std::vector<const Extractor*>& extractors,
     }
   }
   im.facts_extracted->Add(facts);
-  return set;
-}
-
-Result<FactSet> RunExtractorsMapReduce(
-    const std::vector<const Extractor*>& extractors,
-    const text::DocumentCollection& docs, ThreadPool& pool,
-    const mr::JobConfig& config, mr::JobStats* stats,
-    const Interrupt& intr) {
-  TRACE_SPAN("ie.extract_mr");
-  IeMetrics& im = Metrics();
-  im.runs->Increment();
-  obs::ScopedLatency latency(im.run_latency_ns);
-  // Map: one document in, (doc_id -> facts) out. Reduce: identity-merge.
-  mr::MapReduceJob<const text::Document*, uint64_t, ExtractedFact,
-                   ExtractedFact>
-      job;
-  // Extractor order index for deterministic sorting later.
-  job.set_mapper([&extractors](const text::Document* doc,
-                               const auto& emit) {
-    for (const Extractor* ex : extractors) {
-      for (ExtractedFact& fact : ex->Extract(*doc)) {
-        emit(fact.doc, std::move(fact));
-      }
-    }
-  });
-  job.set_reducer([](const uint64_t& /*doc*/,
-                     const std::vector<ExtractedFact>& facts,
-                     const auto& out) {
-    for (const ExtractedFact& f : facts) out(f);
-  });
-  std::vector<const text::Document*> inputs;
-  inputs.reserve(docs.size());
-  for (const text::Document& d : docs.docs) inputs.push_back(&d);
-  STRUCTURA_ASSIGN_OR_RETURN(
-      std::vector<ExtractedFact> facts,
-      job.Run(pool, inputs, config, stats, intr));
-  std::stable_sort(facts.begin(), facts.end(),
-                   [](const ExtractedFact& a, const ExtractedFact& b) {
-                     if (a.doc != b.doc) return a.doc < b.doc;
-                     if (a.span.begin != b.span.begin) {
-                       return a.span.begin < b.span.begin;
-                     }
-                     return a.extractor < b.extractor;
-                   });
-  im.docs_processed->Add(docs.size());
-  im.facts_extracted->Add(facts.size());
-  FactSet set;
-  for (ExtractedFact& f : facts) set.Add(std::move(f));
   return set;
 }
 

@@ -3,9 +3,7 @@
 
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "ie/extractor.h"
-#include "mr/mapreduce.h"
 #include "text/document.h"
 
 namespace structura::ie {
@@ -14,17 +12,6 @@ namespace structura::ie {
 /// in (document, extractor) order with dense ids.
 FactSet RunExtractors(const std::vector<const Extractor*>& extractors,
                       const text::DocumentCollection& docs);
-
-/// Same result, executed as a Map-Reduce job on `pool` (the paper's
-/// physical layer: IE is computation-intensive, so it runs as
-/// "Map-Reduce-like processes" over the cluster). Deterministic output
-/// order (facts sorted by doc, then extractor order, then span).
-/// `intr` propagates into the job's map/reduce task loops.
-Result<FactSet> RunExtractorsMapReduce(
-    const std::vector<const Extractor*>& extractors,
-    const text::DocumentCollection& docs, ThreadPool& pool,
-    const mr::JobConfig& config, mr::JobStats* stats = nullptr,
-    const Interrupt& intr = Interrupt{});
 
 /// Convenience: non-owning views of owning pointers.
 std::vector<const Extractor*> Views(const std::vector<ExtractorPtr>& v);

@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "ii/resolution.h"
 #include "ii/union_find.h"
 #include "obs/flight_recorder.h"
@@ -161,31 +160,18 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
     return out;
   }
 
-  size_t md = std::max<size_t>(1, ctx->exec.morsel_docs);
-  size_t morsels = (selected.size() + md - 1) / md;
-  std::vector<std::vector<query::Row>> parts(morsels);
-  std::vector<size_t> runs(morsels, 0);
-  std::vector<Status> statuses(morsels);
-  ParallelForOptions pf;
-  pf.grain = ctx->exec.grain;
-  pf.max_workers = ctx->exec.parallelism;
-  ParallelFor(*ctx->exec.pool, morsels, pf, [&](size_t m) {
-    Status s = ctx->interrupt.Check();
-    if (!s.ok()) {
-      statuses[m] = s;
-      return;
-    }
-    size_t begin = m * md;
-    size_t end = std::min(selected.size(), (m + 1) * md);
-    for (size_t i = begin; i < end; ++i) {
-      extract_doc(ctx->docs->docs[selected[i]], &parts[m], &runs[m]);
-    }
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
+  query::Morsels ms(selected.size(), ctx->exec.morsel_docs);
+  std::vector<std::vector<query::Row>> parts(ms.count);
+  std::vector<size_t> runs(ms.count, 0);
+  STRUCTURA_RETURN_IF_ERROR(query::RunMorsels(
+      ms, ctx->interrupt, ctx->exec, [&](size_t m) {
+        for (size_t i = ms.begin(m); i < ms.end(m); ++i) {
+          extract_doc(ctx->docs->docs[selected[i]], &parts[m], &runs[m]);
+        }
+        return Status::OK();
+      }));
   ctx->docs_scanned += selected.size();
-  for (size_t m = 0; m < morsels; ++m) {
+  for (size_t m = 0; m < ms.count; ++m) {
     ctx->extractor_runs += runs[m];
     for (query::Row& row : parts[m]) {
       STRUCTURA_RETURN_IF_ERROR(out.Append(std::move(row)));

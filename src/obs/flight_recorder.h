@@ -212,9 +212,10 @@ class CostAccumulator {
 CostAccumulator* CurrentCost();
 
 /// Installs `acc` as the calling thread's cost context for the scope —
-/// the frontend wraps Execute() in one; MR/pool hops that adopt a trace
-/// (ScopedTraceContext) adopt the cost context alongside it the same
-/// way. Restores the previous context on destruction.
+/// the frontend wraps Execute() in one; pool hops that adopt a trace
+/// (ScopedTraceContext; see query::RunMorsels) adopt the cost context
+/// alongside it the same way. Restores the previous context on
+/// destruction.
 class ScopedCostContext {
  public:
   explicit ScopedCostContext(CostAccumulator* acc);

@@ -19,7 +19,7 @@ namespace structura::obs {
 /// Process-wide metric substrate: named counters, gauges, and
 /// log-bucketed latency histograms. The hot paths (Counter::Add,
 /// Histogram::Record) are sharded relaxed atomics — cheap enough to
-/// live inside the serve and MR inner loops (target ≤ 100 ns/op,
+/// live inside the serve and query inner loops (target ≤ 100 ns/op,
 /// measured by bench_e17_observability_overhead). Registration and
 /// lookup by name take a mutex; call sites cache the returned pointer
 /// (handles are stable for the registry's lifetime).

@@ -110,8 +110,8 @@ struct TraceHandle {
 TraceHandle CurrentTrace();
 
 /// Adopts `handle` as the calling thread's trace context — used to carry
-/// a request's trace across a thread hop (MR map/reduce tasks, pool
-/// work). Restores the previous context on destruction.
+/// a request's trace across a thread hop (morsels dispatched on a pool,
+/// see query::RunMorsels). Restores the previous context on destruction.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(const TraceHandle& handle);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 
-#include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -88,30 +87,17 @@ Result<std::vector<SearchHit>> KeywordIndex::Search(
       // parallel chunks, then apply them serially IN POSTING ORDER —
       // the same `scores[d] += contribution` sequence the serial loop
       // performs, so every accumulated bit matches.
-      size_t chunks = (plist.size() + kCheckEvery - 1) / kCheckEvery;
-      std::vector<std::vector<double>> contribs(chunks);
-      std::vector<Status> status(chunks);
-      ParallelForOptions pf;
-      pf.grain = opts.grain;
-      pf.max_workers = opts.parallelism;
-      ParallelFor(*opts.pool, chunks, pf, [&](size_t c) {
-        Status s = intr.Check();
-        if (!s.ok()) {
-          status[c] = s;
-          return;
-        }
-        size_t begin = c * kCheckEvery;
-        size_t end = std::min(plist.size(), (c + 1) * kCheckEvery);
-        contribs[c].reserve(end - begin);
-        for (size_t j = begin; j < end; ++j) {
+      Morsels chunks(plist.size(), kCheckEvery);
+      std::vector<std::vector<double>> contribs(chunks.count);
+      STRUCTURA_RETURN_IF_ERROR(RunMorsels(chunks, intr, opts, [&](size_t c) {
+        contribs[c].reserve(chunks.end(c) - chunks.begin(c));
+        for (size_t j = chunks.begin(c); j < chunks.end(c); ++j) {
           contribs[c].push_back(contribution(idf, plist[j]));
         }
-      });
-      for (const Status& s : status) {
-        STRUCTURA_RETURN_IF_ERROR(s);
-      }
-      for (size_t c = 0; c < chunks; ++c) {
-        size_t begin = c * kCheckEvery;
+        return Status::OK();
+      }));
+      for (size_t c = 0; c < chunks.count; ++c) {
+        size_t begin = chunks.begin(c);
         for (size_t j = 0; j < contribs[c].size(); ++j) {
           scores[plist[begin + j].doc_index] += contribs[c][j];
         }

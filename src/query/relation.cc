@@ -8,6 +8,8 @@
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 
 namespace structura::query {
 
@@ -131,23 +133,8 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return true;
 }
 
-/// Fixed-size partitioning of [0, n) into morsels.
-struct Morsels {
-  size_t n = 0;
-  size_t size = 1;
-  size_t count = 0;
-  Morsels(size_t items, size_t morsel_size)
-      : n(items),
-        size(std::max<size_t>(1, morsel_size)),
-        count(items == 0 ? 0 : (items + size - 1) / size) {}
-  size_t begin(size_t i) const { return i * size; }
-  size_t end(size_t i) const { return std::min(n, (i + 1) * size); }
-};
+}  // namespace
 
-/// Runs `body(morsel)` for every morsel — sequentially, or dispatched
-/// over opts.pool when the options select the parallel path. `intr` is
-/// polled before each morsel on both paths. The first failure by morsel
-/// index wins, so the reported status does not depend on scheduling.
 Status RunMorsels(const Morsels& ms, const Interrupt& intr,
                   const ExecutorOptions& opts,
                   const std::function<Status(size_t)>& body) {
@@ -163,7 +150,13 @@ Status RunMorsels(const Morsels& ms, const Interrupt& intr,
   ParallelForOptions pf;
   pf.grain = opts.grain;
   pf.max_workers = opts.parallelism;
+  // Morsels run on pool workers: they adopt the caller's trace and cost
+  // context, so their spans and charges land on the calling request.
+  const obs::TraceHandle trace = obs::CurrentTrace();
+  obs::CostAccumulator* cost = obs::CurrentCost();
   ParallelFor(*opts.pool, ms.count, pf, [&](size_t i) {
+    obs::ScopedTraceContext adopt_trace(trace);
+    obs::ScopedCostContext adopt_cost(cost);
     Status s = intr.Check();
     status[i] = s.ok() ? body(i) : s;
   });
@@ -172,8 +165,6 @@ Status RunMorsels(const Morsels& ms, const Interrupt& intr,
   }
   return Status::OK();
 }
-
-}  // namespace
 
 bool Condition::Eval(const Value& v) const {
   // Numeric coercion: comparing a numeric literal against a string value

@@ -1,6 +1,7 @@
 #ifndef STRUCTURA_QUERY_RELATION_H_
 #define STRUCTURA_QUERY_RELATION_H_
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -116,6 +117,29 @@ struct ExecutorOptions {
 
   bool Parallel() const { return parallelism > 1 && pool != nullptr; }
 };
+
+/// Fixed-size partitioning of [0, n) into morsels.
+struct Morsels {
+  size_t n = 0;
+  size_t size = 1;
+  size_t count = 0;
+  Morsels(size_t items, size_t morsel_size)
+      : n(items),
+        size(std::max<size_t>(1, morsel_size)),
+        count(items == 0 ? 0 : (items + size - 1) / size) {}
+  size_t begin(size_t i) const { return i * size; }
+  size_t end(size_t i) const { return std::min(n, (i + 1) * size); }
+};
+
+/// The one morsel dispatcher every parallel operator uses: runs
+/// `body(morsel)` for every morsel — sequentially, or dispatched over
+/// opts.pool when the options select the parallel path, with each
+/// worker adopting the caller's trace and cost context. `intr` is
+/// polled before each morsel on both paths. The first failure by morsel
+/// index wins, so the reported status does not depend on scheduling.
+Status RunMorsels(const Morsels& ms, const Interrupt& intr,
+                  const ExecutorOptions& opts,
+                  const std::function<Status(size_t)>& body);
 
 // --- Operators (each returns a new Relation) ---------------------------
 

@@ -11,7 +11,8 @@
 //   - the checkpoint or the WAL is authoritative — never a torn hybrid.
 // Every failure reproduces from the printed STRUCTURA_SIM_SEED /
 // STRUCTURA_SIM_CUT alone; when STRUCTURA_ARTIFACT_DIR is set, failing
-// runs also drop a repro file there.
+// runs also drop a repro file there. SimEnvFaultTest.* covers the env's
+// `env.*` device-fault sites.
 
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -30,6 +32,7 @@
 
 #include "common/clock.h"
 #include "common/env.h"
+#include "common/failpoint.h"
 #include "common/sim_env.h"
 #include "core/system.h"
 #include "rdbms/database.h"
@@ -87,6 +90,12 @@ void MaybeDumpArtifact(const std::string& name, const std::string& body) {
   std::filesystem::create_directories(dir, ec);
   std::ofstream out(std::string(dir) + "/" + name);
   out << body;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 TableSchema KvSchema() {
@@ -481,10 +490,7 @@ TEST(CrashSimTest, AtomicReplaceLeavesNoHazards) {
   // Strict crash right after: the replacement was fully fenced.
   env.PowerCut();
   env.CrashAndRecover({});
-  std::ifstream in(path, std::ios::binary);
-  std::string got((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_EQ(got, "v2");
+  EXPECT_EQ(FileBytes(path), "v2");
   std::filesystem::remove_all(dir);
 }
 
@@ -520,10 +526,7 @@ TEST(CrashSimTest, RenameWithoutSyncDirIsFlaggedAndRevertsOnCrash) {
   SimulatedEnv::CrashReport report = env.CrashAndRecover({});
   EXPECT_FALSE(report.hazards.empty());
   EXPECT_GT(report.meta_ops_reverted, 0u);
-  std::ifstream in(path, std::ios::binary);
-  std::string got((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_EQ(got, "old");
+  EXPECT_EQ(FileBytes(path), "old");
   EXPECT_FALSE(std::filesystem::exists(tmp));
   std::filesystem::remove_all(dir);
 }
@@ -725,6 +728,122 @@ TEST(CrashSimTest, ResurrectedPreCheckpointWalIsDetectedAsStale) {
   }
   (void)txn3->Abort();
   EXPECT_TRUE(found);
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- device faults (env.*)
+
+/// The file-level sites fire through the env, latch the handle sticky
+/// with the injected error, and land in the env's ledger exactly once.
+TEST(SimEnvFaultTest, FileSitesFireLatchStickyAndReachTheLedger) {
+  struct Site {
+    const char* name;
+    StatusCode code;
+    bool on_sync;              // the site guards Sync, not Append
+    const char* left_on_disk;  // real bytes once the fault fired
+  };
+  const Site kSites[] = {
+      {"env.write", StatusCode::kIoError, false, "head|"},
+      {"env.write.enospc", StatusCode::kResourceExhausted, false, "head|"},
+      {"env.write.short", StatusCode::kIoError, false, "head|payl"},
+      {"env.sync", StatusCode::kIoError, true, "head|"},
+  };
+  const std::string dir = TempDir("env_file_sites");
+  for (size_t i = 0; i < std::size(kSites); ++i) {
+    const Site& site = kSites[i];
+    SCOPED_TRACE(site.name);
+    SimulatedEnv env;
+    const std::string path = dir + "/file" + std::to_string(i);
+    auto file = env.NewWritableFile(path, /*truncate=*/true);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append("head|").ok());
+    Status first;
+    {
+      ScopedFailpoint fp(site.name, FailpointRegistry::Spec::Once());
+      first = site.on_sync ? (*file)->Sync() : (*file)->Append("payload!");
+    }
+    EXPECT_EQ(first.code(), site.code) << first.ToString();
+    EXPECT_NE(first.message().find(site.name), std::string::npos);
+    // The device is healthy again; the handle is not.
+    EXPECT_TRUE((*file)->failed());
+    EXPECT_EQ((*file)->Append("more").message(), first.message());
+    EXPECT_EQ(FileBytes(path), site.left_on_disk);
+    EXPECT_EQ(env.io_failures(), 1u);
+    EXPECT_NE(env.last_io_error().find(site.name), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// The env-level sites fire, change nothing on disk or in the crash
+/// ledger, and land in the env's i/o-failure ledger.
+TEST(SimEnvFaultTest, EnvSitesFireAndReachTheLedger) {
+  const std::string dir = TempDir("env_meta_sites");
+  const std::string path = dir + "/file";
+  SimulatedEnv env;
+  {
+    ScopedFailpoint fp("env.open", FailpointRegistry::Spec::Once());
+    EXPECT_EQ(env.NewWritableFile(path, /*truncate=*/true).status().code(),
+              StatusCode::kIoError);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(env.io_failures(), 1u);
+  ASSERT_TRUE(env.NewWritableFile(path, /*truncate=*/true).ok());
+  {
+    ScopedFailpoint fp("env.syncdir", FailpointRegistry::Spec::Once());
+    EXPECT_EQ(env.SyncDir(dir).code(), StatusCode::kIoError);
+  }
+  EXPECT_EQ(env.io_failures(), 2u);
+  EXPECT_EQ(env.PendingHazards().size(), 1u);  // the create stays unfenced
+  ASSERT_TRUE(env.SyncDir(dir).ok());
+  {
+    ScopedFailpoint fp("env.rename", FailpointRegistry::Spec::Once());
+    EXPECT_EQ(env.RenameFile(path, dir + "/moved").code(),
+              StatusCode::kIoError);
+  }
+  EXPECT_EQ(env.io_failures(), 3u);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/moved"));
+  EXPECT_TRUE(env.PendingHazards().empty());
+  std::filesystem::remove_all(dir);
+}
+
+/// A short write is the torn tail of a power cut: after the crash the
+/// file is the synced prefix plus at most the torn half of the failed
+/// append — never the whole payload, never a byte written after it.
+TEST(SimEnvFaultTest, ShortWriteThenCrashLeavesAtMostTheTornHalf) {
+  const std::string dir = TempDir("short_crash");
+  const std::string path = dir + "/log";
+  std::string payload;
+  for (int i = 0; i < 64; ++i) payload += static_cast<char>('A' + i % 26);
+  const std::string torn = "synced|" + payload.substr(0, 32);
+  bool saw_prefix_only = false, saw_whole_half = false;
+  for (uint64_t seed = 0; seed < 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimulatedEnv env;
+    {
+      auto file = env.NewWritableFile(path, /*truncate=*/true);
+      ASSERT_TRUE(file.ok());
+      ASSERT_TRUE((*file)->Append("synced|").ok());
+      ASSERT_TRUE((*file)->Sync().ok());
+      ASSERT_TRUE(env.SyncDir(dir).ok());
+      ScopedFailpoint fp("env.write.short", FailpointRegistry::Spec::Once());
+      EXPECT_FALSE((*file)->Append(payload).ok());
+      EXPECT_FALSE((*file)->Append("after the tear").ok());
+    }
+    ASSERT_EQ(FileBytes(path), torn);
+    SimulatedEnv::CrashOptions opts;
+    opts.seed = seed;
+    opts.unsynced_survival = 0.5;
+    opts.torn_writes = true;
+    env.CrashAndRecover(opts);
+    const std::string got = FileBytes(path);
+    ASSERT_GE(got.size(), std::string("synced|").size());
+    EXPECT_EQ(got, torn.substr(0, got.size()));
+    saw_prefix_only |= got == "synced|";
+    saw_whole_half |= got == torn;
+  }
+  EXPECT_TRUE(saw_prefix_only);
+  EXPECT_TRUE(saw_whole_half);
   std::filesystem::remove_all(dir);
 }
 

@@ -10,6 +10,9 @@
 //     with the original error until its owner explicitly reopens;
 //   - clean recovery: after the explicit heal the store serves writes
 //     again and the healed state survives another reopen.
+// The faults come from SimulatedEnv's `env.*` failpoint sites (see
+// common/sim_env.h); no power is cut here, so every byte the env let
+// through stays on disk for the reopen.
 // Run plain and under -DSTRUCTURA_SANITIZE=address.
 
 #include <unistd.h>
@@ -28,6 +31,7 @@
 
 #include "common/env.h"
 #include "common/failpoint.h"
+#include "common/sim_env.h"
 #include "rdbms/database.h"
 #include "rdbms/value.h"
 #include "rdbms/wal.h"
@@ -140,9 +144,9 @@ void SweepWalSite(const std::string& site) {
     // Sizing run: CountOnly never fires but counts how many times the
     // clean workload crosses this site.
     std::string dir = TempDir("wal_sweep_size");
-    FaultInjectingEnv fenv;
+    SimulatedEnv senv;
     ScopedFailpoint fp(site, FpSpec::CountOnly());
-    TrialOutcome out = RunCommitWorkload(dir, &fenv);
+    TrialOutcome out = RunCommitWorkload(dir, &senv);
     ASSERT_FALSE(out.any_error) << site;
     ASSERT_EQ(out.acked.size(), 6u) << site;
     hits = FailpointRegistry::Instance().GetCounters(site).hits;
@@ -152,20 +156,20 @@ void SweepWalSite(const std::string& site) {
   for (uint64_t i = 1; i <= hits; ++i) {
     SCOPED_TRACE(site + " fault at hit " + std::to_string(i));
     std::string dir = TempDir("wal_sweep_trial");
-    FaultInjectingEnv fenv;
+    SimulatedEnv senv;
     TrialOutcome out;
     uint64_t fires = 0;
     {
       ScopedFailpoint fp(site, FpSpec::Nth(i));
-      out = RunCommitWorkload(dir, &fenv);
+      out = RunCommitWorkload(dir, &senv);
       fires = FailpointRegistry::Instance().GetCounters(site).fires;
     }
     if (fires > 0) {
       // No silent degradation: the injected failure surfaced as a
       // Status somewhere, and the env ledger recorded it.
       EXPECT_TRUE(out.any_error);
-      EXPECT_GE(fenv.io_failures(), 1u);
-      EXPECT_FALSE(fenv.last_io_error().empty());
+      EXPECT_GE(senv.io_failures(), 1u);
+      EXPECT_FALSE(senv.last_io_error().empty());
     }
     // No acked-then-lost: every commit acknowledged before (or after)
     // the fault is present after recovery. Unacked commits MAY also be
@@ -200,10 +204,10 @@ TEST(DurabilitySweepTest, WalCommitsSurviveEveryFsyncFault) {
 
 TEST(DurabilitySweepTest, CheckpointFaultLeavesOldStateAuthoritative) {
   std::string dir = TempDir("ckpt");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   DatabaseOptions dopts;
   dopts.dir = dir;
-  dopts.wal.env = &fenv;
+  dopts.wal.env = &senv;
   auto db = Database::Open(dopts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->CreateTable(KvSchema()).ok());
@@ -258,9 +262,9 @@ void SweepSegmentSite(const std::string& site) {
   uint64_t hits = 0;
   {
     std::string dir = TempDir("seg_sweep_size");
-    FaultInjectingEnv fenv;
+    SimulatedEnv senv;
     SegmentStore::Options sopts;
-    sopts.env = &fenv;
+    sopts.env = &senv;
     ScopedFailpoint fp(site, FpSpec::CountOnly());
     auto store = SegmentStore::Open(dir, sopts);
     ASSERT_TRUE(store.ok());
@@ -275,9 +279,9 @@ void SweepSegmentSite(const std::string& site) {
   for (uint64_t i = 1; i <= hits; ++i) {
     SCOPED_TRACE(site + " fault at hit " + std::to_string(i));
     std::string dir = TempDir("seg_sweep_trial");
-    FaultInjectingEnv fenv;
+    SimulatedEnv senv;
     SegmentStore::Options sopts;
-    sopts.env = &fenv;
+    sopts.env = &senv;
     std::vector<std::pair<uint64_t, std::string>> acked;
     bool any_error = false;
     uint64_t fires = 0;
@@ -299,7 +303,7 @@ void SweepSegmentSite(const std::string& site) {
       if (fires > 0) {
         EXPECT_TRUE(any_error);
         EXPECT_TRUE(store->Failed());
-        EXPECT_GE(fenv.io_failures(), 1u);
+        EXPECT_GE(senv.io_failures(), 1u);
       }
       // Acked records stay readable off the failed store (reads serve
       // the durable prefix; only appends are refused).
@@ -356,9 +360,9 @@ TEST(DurabilitySweepTest, SegmentStoreSurvivesEveryFsyncFault) {
 
 TEST(DurabilitySweepTest, SnapshotJournalWriteFaultRefusesWithoutMutation) {
   std::string dir = TempDir("snap_write");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   SnapshotStore store;
-  ASSERT_TRUE(store.AttachJournal(dir, &fenv).ok());
+  ASSERT_TRUE(store.AttachJournal(dir, &senv).ok());
   ASSERT_TRUE(store.Append(1, "version zero").ok());
   ASSERT_TRUE(store.Append(1, "version one").ok());
   ASSERT_TRUE(store.Sync().ok());
@@ -376,7 +380,7 @@ TEST(DurabilitySweepTest, SnapshotJournalWriteFaultRefusesWithoutMutation) {
     EXPECT_EQ(*store.Get(1, 0), "version zero");
     EXPECT_EQ(*store.Get(1, 1), "version one");
   }
-  EXPECT_GE(fenv.io_failures(), 1u);
+  EXPECT_GE(senv.io_failures(), 1u);
 
   // Heal: the journal is atomically rewritten from memory.
   ASSERT_TRUE(store.ReopenJournal().ok());
@@ -397,9 +401,9 @@ TEST(DurabilitySweepTest, SnapshotJournalWriteFaultRefusesWithoutMutation) {
 
 TEST(DurabilitySweepTest, SnapshotJournalFsyncFaultHealsByRewrite) {
   std::string dir = TempDir("snap_sync");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   SnapshotStore store;
-  ASSERT_TRUE(store.AttachJournal(dir, &fenv).ok());
+  ASSERT_TRUE(store.AttachJournal(dir, &senv).ok());
   ASSERT_TRUE(store.Append(1, "alpha").ok());
   ASSERT_TRUE(store.Append(2, "beta").ok());
 
@@ -431,8 +435,8 @@ TEST(DurabilitySweepTest, SnapshotJournalFsyncFaultHealsByRewrite) {
 
 TEST(DurabilitySweepTest, WritableFileFirstFailureLatchesForever) {
   std::string dir = TempDir("sticky");
-  FaultInjectingEnv fenv;
-  auto file = fenv.NewWritableFile(dir + "/f.log", true);
+  SimulatedEnv senv;
+  auto file = senv.NewWritableFile(dir + "/f.log", true);
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append("hello ").ok());
 
@@ -456,9 +460,9 @@ TEST(DurabilitySweepTest, WritableFileFirstFailureLatchesForever) {
 
   // The ledger saw exactly one unrecoverable failure (the latch), not
   // one per refused retry; the device itself still probes writable.
-  EXPECT_EQ(fenv.io_failures(), 1u);
-  EXPECT_FALSE(fenv.last_io_error().empty());
-  EXPECT_TRUE(fenv.ProbeWrite(dir).ok());
+  EXPECT_EQ(senv.io_failures(), 1u);
+  EXPECT_FALSE(senv.last_io_error().empty());
+  EXPECT_TRUE(senv.ProbeWrite(dir).ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -470,9 +474,9 @@ TEST(DurabilitySweepTest, WalAppendSurfacesIoErrorNotStreamState) {
   // return kIoError/kResourceExhausted from the syscall that failed and
   // latch sticky.
   std::string dir = TempDir("wal_ioerr");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   WalOptions wopts;
-  wopts.env = &fenv;
+  wopts.env = &senv;
   auto wal = WriteAheadLog::Open(dir + "/wal.log", wopts);
   ASSERT_TRUE(wal.ok());
   LogRecord rec;
@@ -493,9 +497,9 @@ TEST(DurabilitySweepTest, WalAppendSurfacesIoErrorNotStreamState) {
 
   // A full disk surfaces as kResourceExhausted, distinguishable from a
   // dying device.
-  FaultInjectingEnv fenv2;
+  SimulatedEnv senv2;
   WalOptions wopts2;
-  wopts2.env = &fenv2;
+  wopts2.env = &senv2;
   auto wal2 = WriteAheadLog::Open(dir + "/wal2.log", wopts2);
   ASSERT_TRUE(wal2.ok());
   {
@@ -514,10 +518,10 @@ TEST(DurabilitySweepTest, RefusedStatementLeavesNoTraceAfterHealCheckpoint) {
   // mutation behind: the client was told it failed, so neither the
   // in-memory table nor the post-heal checkpoint may contain it.
   std::string dir = TempDir("refused_stmt");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   DatabaseOptions dopts;
   dopts.dir = dir;
-  dopts.wal.env = &fenv;
+  dopts.wal.env = &senv;
   auto db = Database::Open(dopts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->CreateTable(KvSchema()).ok());
@@ -579,9 +583,9 @@ TEST(DurabilitySweepTest, AlreadyDurableCommitNotRefusedByLaterStickyError) {
   // roll back in memory a transaction a crash would then resurrect
   // from the log.
   std::string dir = TempDir("durable_ticket");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   WalOptions wopts;
-  wopts.env = &fenv;
+  wopts.env = &senv;
   auto wal = WriteAheadLog::Open(dir + "/wal.log", wopts);
   ASSERT_TRUE(wal.ok());
   LogRecord rec;
@@ -661,9 +665,9 @@ TEST(DurabilitySweepTest, SnapshotHealSurvivesCorruptVersion) {
   // counted) instead of failing every ReopenJournal and leaving the
   // system permanently read-only.
   std::string dir = TempDir("snap_heal_rot");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   SnapshotStore store;
-  ASSERT_TRUE(store.AttachJournal(dir, &fenv).ok());
+  ASSERT_TRUE(store.AttachJournal(dir, &senv).ok());
   ASSERT_TRUE(store.Append(1, "alpha").ok());
   {
     // Silent bit-rot in version 1's stored delta; the append acks.
@@ -709,9 +713,9 @@ TEST(DurabilitySweepTest, RefusedSnapshotAppendNeverReachesJournal) {
   // otherwise a restart replays the refused write, shifting every later
   // acknowledged version of the page by one.
   std::string dir = TempDir("snap_stage");
-  FaultInjectingEnv fenv;
+  SimulatedEnv senv;
   SnapshotStore store;
-  ASSERT_TRUE(store.AttachJournal(dir, &fenv).ok());
+  ASSERT_TRUE(store.AttachJournal(dir, &senv).ok());
   ASSERT_TRUE(store.Append(1, "alpha").ok());
   {
     ScopedFailpoint rot("snapshot.delta", FpSpec::FlipByteAt(1, 3));

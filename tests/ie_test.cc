@@ -1,4 +1,6 @@
+#include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,8 @@
 #include "ie/regex_extractor.h"
 #include "ie/standard.h"
 #include "ie/template_extractor.h"
+#include "lang/executor.h"
+#include "obs/flight_recorder.h"
 
 namespace structura::ie {
 namespace {
@@ -286,34 +290,65 @@ TEST(PatternLearnerTest, MinSupportFiltersNoise) {
   EXPECT_TRUE(learner.Compile()->empty());
 }
 
-TEST(PipelineTest, SequentialMatchesMapReduce) {
+TEST(PipelineTest, ExecutorExtractMatchesRunExtractors) {
+  // The product's parallel IE is the executor's morsel-parallel
+  // EXTRACT; the sequential pipeline is its reference. Morsels run on
+  // pool workers, yet every extractor call must be charged to the
+  // caller's cost context.
   corpus::CorpusOptions options;
-  options.num_cities = 10;
-  options.num_people = 10;
-  options.num_companies = 3;
-  options.seed = 8;
+  options.num_cities = 150;
+  options.num_people = 300;
+  options.num_companies = 75;
   text::DocumentCollection docs;
   corpus::GroundTruth truth;
   corpus::GenerateCorpus(options, &docs, &truth);
 
   std::vector<ExtractorPtr> suite = MakeStandardSuite();
   std::vector<const Extractor*> views = Views(suite);
-
-  FactSet sequential = RunExtractors(views, docs);
-  ThreadPool pool(4);
-  mr::JobConfig config;
-  config.split_size = 3;
-  auto parallel = RunExtractorsMapReduce(views, docs, pool, config);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(sequential.size(), parallel->size());
-  // Same multiset of (doc, attribute, value) triples.
-  auto key_of = [](const ExtractedFact& f) {
-    return std::to_string(f.doc) + "|" + f.attribute + "|" + f.value;
+  FactSet reference = RunExtractors(views, docs);
+  auto key_of = [](uint64_t doc, const std::string& attribute,
+                   const std::string& value) {
+    return std::to_string(doc) + "|" + attribute + "|" + value;
   };
-  std::multiset<std::string> a, b;
-  for (const auto& f : sequential.facts) a.insert(key_of(f));
-  for (const auto& f : parallel->facts) b.insert(key_of(f));
-  EXPECT_EQ(a, b);
+  std::multiset<std::string> expected;
+  for (const ExtractedFact& f : reference.facts) {
+    expected.insert(key_of(f.doc, f.attribute, f.value));
+  }
+  ASSERT_FALSE(expected.empty());
+
+  // EXTRACT <every extractor> FROM pages.
+  lang::PlanNode plan;
+  plan.type = lang::PlanNode::Type::kExtract;
+  plan.children.push_back(std::make_unique<lang::PlanNode>());
+  plan.children.back()->type = lang::PlanNode::Type::kScanDocs;
+  lang::ExecutionContext base;
+  base.docs = &docs;
+  for (const Extractor* ex : views) {
+    base.extractors[ex->name()] = ex;
+    plan.extractors.push_back(ex->name());
+  }
+  ThreadPool pool(8);
+  for (size_t parallelism : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    lang::ExecutionContext ctx = base;
+    ctx.exec.parallelism = parallelism;
+    ctx.exec.pool = &pool;
+    obs::CostAccumulator cost;
+    obs::ScopedCostContext scope(&cost);
+    auto rel = lang::ExecutePlan(plan, &ctx);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    EXPECT_EQ(ctx.extractor_runs, docs.size() * views.size());
+    EXPECT_EQ(
+        cost.Snapshot().v[static_cast<size_t>(obs::CostDim::kExtractorCalls)],
+        ctx.extractor_runs);
+    std::multiset<std::string> got;
+    for (size_t r = 0; r < rel->size(); ++r) {
+      got.insert(key_of(static_cast<uint64_t>(rel->At(r, "doc").as_int()),
+                        rel->At(r, "attribute").as_string(),
+                        rel->At(r, "value").as_string()));
+    }
+    EXPECT_EQ(got, expected);
+  }
 }
 
 }  // namespace

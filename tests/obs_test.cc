@@ -201,12 +201,12 @@ TEST(ExpositionTest, CompactGroupsByPrefix) {
   MetricsRegistry r;
   r.GetCounter("serve.requests.ok")->Add(7);
   r.GetCounter("serve.requests.shed")->Add(2);
-  r.GetCounter("mr.jobs")->Add(1);
+  r.GetCounter("ie.runs")->Add(1);
   r.GetCounter("test.zero");  // zero-valued: omitted
   std::string out = obs::RenderCompact(r.Snapshot());
   EXPECT_NE(out.find("metrics[serve]"), std::string::npos);
   EXPECT_NE(out.find("requests.ok=7"), std::string::npos);
-  EXPECT_NE(out.find("metrics[mr]"), std::string::npos);
+  EXPECT_NE(out.find("metrics[ie]"), std::string::npos);
   EXPECT_EQ(out.find("test.zero"), std::string::npos);
 }
 

@@ -21,14 +21,13 @@
 #include <gtest/gtest.h>
 
 #include "common/cancellation.h"
-#include "common/env.h"
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "common/sim_env.h"
 #include "common/thread_pool.h"
 #include "core/system.h"
 #include "corpus/generator.h"
-#include "ie/pipeline.h"
-#include "ie/standard.h"
+#include "lang/executor.h"
 #include "obs/flight_recorder.h"
 #include "rdbms/database.h"
 #include "serve/frontend.h"
@@ -856,11 +855,22 @@ TEST(ServeChaosTest, MixedWorkloadUnderFaultsTerminatesAndReconciles) {
                     {"seq", rdbms::ValueType::kInt}};
   ASSERT_TRUE(sys->database()->CreateTable(schema).ok());
 
-  // Extraction runs as a Map-Reduce job on its own pool (a frontend
-  // worker must never run ParallelFor on the frontend's pool).
-  ThreadPool mr_pool(4);
-  std::vector<ie::ExtractorPtr> suite = ie::MakeStandardSuite();
-  std::vector<const ie::Extractor*> extractors = ie::Views(suite);
+  // Extraction runs the executor's morsel-parallel EXTRACT over every
+  // registered extractor, on its own pool (a frontend worker must never
+  // run ParallelFor on the frontend's pool).
+  ThreadPool extract_pool(4);
+  lang::ExecutionContext extract_ctx;
+  extract_ctx.docs = &sys->documents();
+  extract_ctx.extractors = sys->context().extractors;
+  extract_ctx.exec.parallelism = 2;
+  extract_ctx.exec.pool = &extract_pool;
+  lang::PlanNode extract_plan;
+  extract_plan.type = lang::PlanNode::Type::kExtract;
+  for (const auto& [name, extractor] : extract_ctx.extractors) {
+    extract_plan.extractors.push_back(name);
+  }
+  extract_plan.children.push_back(std::make_unique<lang::PlanNode>());
+  extract_plan.children.back()->type = lang::PlanNode::Type::kScanDocs;
 
   Frontend::Options fopts;
   fopts.num_threads = 8;
@@ -916,13 +926,11 @@ TEST(ServeChaosTest, MixedWorkloadUnderFaultsTerminatesAndReconciles) {
     return txn->Commit();
   });
   fe.RegisterOperator("extract", [&](const RequestContext& ctx) {
-    mr::JobConfig config;
-    config.num_workers = 2;
-    config.split_size = 8;
-    config.max_attempts = 2;
-    auto facts = ie::RunExtractorsMapReduce(extractors, docs, mr_pool,
-                                            config, nullptr, ctx.interrupt);
-    return facts.status();
+    // One context copy per request: the executor's fault and
+    // quarantine bookkeeping is per context.
+    lang::ExecutionContext request_ctx = extract_ctx;
+    request_ctx.interrupt = ctx.interrupt;
+    return lang::ExecutePlan(extract_plan, &request_ctx).status();
   });
 
   const std::vector<std::string> kOps = {
@@ -937,14 +945,12 @@ TEST(ServeChaosTest, MixedWorkloadUnderFaultsTerminatesAndReconciles) {
       client_unavailable{0};
 
   {
-    // Probabilistic faults across WAL, extraction, reduce, and the
-    // serving layer itself, all live while the workload runs.
+    // Probabilistic faults across WAL, extraction, and the serving
+    // layer itself, all live while the workload runs.
     ScopedFailpoint wal_fp(
         "wal.append", FailpointRegistry::Spec::WithProbability(0.05, 11));
     ScopedFailpoint ie_fp(
         "ie.extract", FailpointRegistry::Spec::WithProbability(0.05, 12));
-    ScopedFailpoint mr_fp(
-        "mr.reduce", FailpointRegistry::Spec::WithProbability(0.05, 13));
     ScopedFailpoint serve_fp(
         "serve.op", FailpointRegistry::Spec::WithProbability(0.05, 14));
 
@@ -991,6 +997,11 @@ TEST(ServeChaosTest, MixedWorkloadUnderFaultsTerminatesAndReconciles) {
     }
     for (std::thread& t : clients) t.join();
   }  // fault scope ends: failpoints disarmed
+
+  // The extraction fault was live: the extract operator evaluates the
+  // site on every (document, extractor) run, so it must have fired.
+  EXPECT_GT(FailpointRegistry::Instance().GetCounters("ie.extract").fires,
+            0u);
 
   constexpr uint64_t kTotal =
       static_cast<uint64_t>(kClients) * kRequestsPerClient;
@@ -1335,8 +1346,8 @@ TEST(ServeChaosTest, WatchdogAutoScrubHealsTornSegmentTail) {
 TEST(ServeChaosTest, DiskFaultEngagesReadOnlyBrownoutAndHeals) {
   core::System::Options sopts;
   sopts.workspace = TempDir("readonly");
-  FaultInjectingEnv fenv;
-  sopts.env = &fenv;
+  SimulatedEnv senv;
+  sopts.env = &senv;
   auto sys_or = core::System::Create(sopts);
   ASSERT_TRUE(sys_or.ok()) << sys_or.status().ToString();
   std::unique_ptr<core::System> sys = std::move(sys_or).value();

@@ -182,8 +182,10 @@ TEST(TfIdfTest, RareTermsWeighMore) {
 }
 
 // Property sweep: metric identities hold for arbitrary string pairs.
+// The parameters are std::string, not const char*, so gtest prints the
+// text itself and the test names do not change from build to build.
 class MetricPropertyTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {
 };
 
 TEST_P(MetricPropertyTest, RangeSymmetryIdentity) {
