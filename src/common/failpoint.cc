@@ -5,7 +5,6 @@
 namespace structura {
 
 std::atomic<int> FailpointRegistry::armed_count_{0};
-thread_local int FailpointRegistry::suppression_depth_ = 0;
 
 FailpointRegistry& FailpointRegistry::Instance() {
   static FailpointRegistry* registry = new FailpointRegistry();

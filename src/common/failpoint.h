@@ -164,7 +164,11 @@ class FailpointRegistry {
   };
 
   static std::atomic<int> armed_count_;
-  static thread_local int suppression_depth_;
+  // Inline, so no user reaches it through a TLS wrapper: GCC 12 with
+  // -fsanitize=null reuses the wrapper's "init function absent" zero
+  // flag as the address null check and reports a valid access as a
+  // "load of null pointer".
+  static inline thread_local int suppression_depth_ = 0;
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry, std::less<>> entries_;

@@ -1,33 +1,20 @@
 #include "common/integrity.h"
 
-#include "common/strings.h"
-
 namespace structura {
 
 void IntegrityCounters::Merge(const IntegrityCounters& other) {
-  records_verified += other.records_verified;
-  corrupt_records += other.corrupt_records;
-  salvaged_records += other.salvaged_records;
-  lost_txns += other.lost_txns;
-  quarantined_segments += other.quarantined_segments;
-  torn_tail_bytes += other.torn_tail_bytes;
-  checkpoints_rejected += other.checkpoints_rejected;
-  stale_wal_records += other.stale_wal_records;
+  for (const IntegrityField& f : kIntegrityFields) {
+    this->*f.value += other.*f.value;
+  }
 }
 
 std::string IntegrityCounters::ToString() const {
-  return StrFormat(
-      "records_verified=%llu corrupt_records=%llu salvaged_records=%llu "
-      "lost_txns=%llu quarantined_segments=%llu torn_tail_bytes=%llu "
-      "checkpoints_rejected=%llu stale_wal_records=%llu",
-      static_cast<unsigned long long>(records_verified),
-      static_cast<unsigned long long>(corrupt_records),
-      static_cast<unsigned long long>(salvaged_records),
-      static_cast<unsigned long long>(lost_txns),
-      static_cast<unsigned long long>(quarantined_segments),
-      static_cast<unsigned long long>(torn_tail_bytes),
-      static_cast<unsigned long long>(checkpoints_rejected),
-      static_cast<unsigned long long>(stale_wal_records));
+  std::string out;
+  for (const IntegrityField& f : kIntegrityFields) {
+    if (!out.empty()) out += ' ';
+    out += std::string(f.name) + "=" + std::to_string(this->*f.value);
+  }
+  return out;
 }
 
 }  // namespace structura

@@ -9,7 +9,10 @@ namespace structura {
 /// Counters describing what storage recovery and scrubbing found —
 /// the bit-rot analogue of the serving layer's ServingCounters.
 /// Accumulated by WAL/checkpoint recovery, SegmentStore reopen, and the
-/// Scrub() passes; surfaced by System::StatusReport().
+/// Scrub() passes; surfaced by System::StatusReport() and as the
+/// `integrity.{recovery,scrub}.<field>` gauges. Every field is named
+/// once, in kIntegrityFields below; Merge, ToString and the gauges all
+/// iterate that list.
 struct IntegrityCounters {
   uint64_t records_verified = 0;   // records whose checksums validated
   uint64_t corrupt_records = 0;    // damaged frames / failed validations
@@ -32,6 +35,22 @@ struct IntegrityCounters {
 
   /// One-line rendering used by StatusReport().
   std::string ToString() const;
+};
+
+struct IntegrityField {
+  const char* name;
+  uint64_t IntegrityCounters::*value;
+};
+
+inline constexpr IntegrityField kIntegrityFields[] = {
+    {"records_verified", &IntegrityCounters::records_verified},
+    {"corrupt_records", &IntegrityCounters::corrupt_records},
+    {"salvaged_records", &IntegrityCounters::salvaged_records},
+    {"lost_txns", &IntegrityCounters::lost_txns},
+    {"quarantined_segments", &IntegrityCounters::quarantined_segments},
+    {"torn_tail_bytes", &IntegrityCounters::torn_tail_bytes},
+    {"checkpoints_rejected", &IntegrityCounters::checkpoints_rejected},
+    {"stale_wal_records", &IntegrityCounters::stale_wal_records},
 };
 
 }  // namespace structura

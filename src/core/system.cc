@@ -19,31 +19,14 @@
 #include "serve/request_context.h"
 
 namespace structura::core {
-namespace {
-
-/// Mirrors an IntegrityCounters snapshot into registry gauges under
-/// `prefix` (e.g. integrity.scrub.records_verified). Gauges, not
-/// counters: each recovery/scrub re-verifies everything, so the values
-/// are "latest pass" readings rather than monotonic event counts.
-void PublishIntegrityGauges(const std::string& prefix,
-                            const IntegrityCounters& c) {
-  obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-  auto set = [&](const char* name, uint64_t v) {
-    r.GetGauge(prefix + "." + name)->Set(static_cast<int64_t>(v));
-  };
-  set("records_verified", c.records_verified);
-  set("corrupt_records", c.corrupt_records);
-  set("salvaged_records", c.salvaged_records);
-  set("lost_txns", c.lost_txns);
-  set("quarantined_segments", c.quarantined_segments);
-  set("torn_tail_bytes", c.torn_tail_bytes);
-  set("checkpoints_rejected", c.checkpoints_rejected);
-}
-
-}  // namespace
 
 System::System(Options options)
-    : options_(std::move(options)), users_(options_.seed) {}
+    : options_(std::move(options)), users_(options_.seed) {
+  metrics_.RegisterGaugeFn("ie.quarantined_extractors", [this] {
+    return static_cast<int64_t>(
+        ctx_.extractor_faults.Read().quarantined.size());
+  });
+}
 
 System::~System() {
   StopWatchdog();
@@ -79,12 +62,7 @@ Result<std::unique_ptr<System>> System::Create(Options options) {
     STRUCTURA_RETURN_IF_ERROR(sys->snapshots_.AttachJournal(
         sys->options_.workspace + "/snapshots", sys->options_.env));
   }
-  IntegrityCounters recovered = sys->db_->recovery_report();
-  if (sys->intermediate_ != nullptr) {
-    recovered.Merge(sys->intermediate_->recovery_report());
-  }
-  recovered.Merge(sys->snapshots_.recovery_report());
-  PublishIntegrityGauges("integrity.recovery", recovered);
+  sys->PublishIntegrity("recovery", sys->RecoveryReport());
   // Morsel-parallel query execution: one shared pool, threaded through
   // the execution context to every operator. parallelism <= 1 keeps
   // the serial path (no pool at all).
@@ -224,9 +202,10 @@ void System::RegisterBuiltinHealthSignals() {
   // relaxed loads); when the env's failure ledger advances or a sink
   // is latched failed, it probes the workspace with a real
   // write+fsync. Unwritable disk or a sink pending heal → critical;
-  // the serve layer keys read-only brownout off this signal. The
-  // baseline lives behind a shared_ptr for the same copied-SignalFn
-  // reason as the ie signal below.
+  // the serve layer keys read-only brownout off this signal. The last
+  // ledger value seen lives behind a shared_ptr: Evaluate() invokes a
+  // copy of each SignalFn, so state held in the lambda itself would
+  // advance on the copy and be lost.
   Env* e = env();
   health_.Register(
       "storage.disk", "io",
@@ -255,45 +234,43 @@ void System::RegisterBuiltinHealthSignals() {
                                    "i/o failure(s) observed; probe ok: " +
                                        e->last_io_error()};
       });
-  // ie: extraction faults + quarantines, read from the registry only —
-  // never from ctx_, which the executor mutates concurrently. Baselines
-  // discount counts left behind by earlier Systems in this process
-  // (the registry is process-global).
-  obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-  obs::Counter* faults = r.GetCounter("ie.extract.faults");
-  obs::Gauge* quarantined = r.GetGauge("ie.quarantined_extractors");
-  int64_t quarantine_base = quarantined->Value();
-  health_.Register(
-      "ie", "faults",
-      // The fault baseline lives behind a shared_ptr because Evaluate()
-      // invokes a *copy* of each SignalFn: plain mutable lambda state
-      // would be mutated on the copy and discarded, leaving delta > 0
-      // forever after one fault (permanently-degraded "ie"). Sharing it
-      // lets every copy advance the same baseline; Evaluate() is
-      // serialized, so no further synchronization is needed.
-      [this, faults, quarantined, quarantine_base,
-       last = std::make_shared<uint64_t>(faults->Value())] {
-        int64_t q = quarantined->Value() - quarantine_base;
-        size_t total = extractor_count_.load();
-        if (total > 0 && q >= static_cast<int64_t>(total)) {
-          return serve::HealthSample{serve::HealthState::kCritical,
-                                     "all extractors quarantined"};
-        }
-        uint64_t now = faults->Value();
-        uint64_t delta = now - *last;
-        *last = now;
-        if (q > 0) {
-          return serve::HealthSample{
-              serve::HealthState::kDegraded,
-              std::to_string(q) + " extractor(s) quarantined"};
-        }
-        if (delta > 0) {
-          return serve::HealthSample{
-              serve::HealthState::kDegraded,
-              std::to_string(delta) + " extraction fault(s) since last check"};
-        }
-        return serve::HealthSample{};
-      });
+  // ie: this System's own quarantine ledger, read under its lock (the
+  // executor writes it concurrently). Per-request context copies keep
+  // ledgers of their own and never vote here. The process-wide fault
+  // counter the executor bumps is registered now so it is exposed (at
+  // zero) before the first fault.
+  obs::MetricsRegistry::Default().GetCounter("ie.extract.faults");
+  health_.Register("ie", "faults", [this] {
+    size_t quarantined = ctx_.extractor_faults.Read().quarantined.size();
+    size_t total = extractor_count_.load();
+    if (total > 0 && quarantined >= total) {
+      return serve::HealthSample{serve::HealthState::kCritical,
+                                 "all extractors quarantined"};
+    }
+    if (quarantined > 0) {
+      return serve::HealthSample{
+          serve::HealthState::kDegraded,
+          std::to_string(quarantined) + " extractor(s) quarantined"};
+    }
+    return serve::HealthSample{};
+  });
+}
+
+IntegrityCounters System::RecoveryReport() const {
+  IntegrityCounters recovered = db_->recovery_report();
+  if (intermediate_ != nullptr) {
+    recovered.Merge(intermediate_->recovery_report());
+  }
+  recovered.Merge(snapshots_.recovery_report());
+  return recovered;
+}
+
+void System::PublishIntegrity(const std::string& pass,
+                              const IntegrityCounters& counters) {
+  for (const IntegrityField& f : kIntegrityFields) {
+    metrics_.GetGauge("integrity." + pass + "." + f.name)
+        ->Set(static_cast<int64_t>(counters.*f.value));
+  }
 }
 
 bool System::ReadOnly() const {
@@ -738,13 +715,13 @@ std::string System::StatusReport() const {
   out += StrFormat("users: %zu; standing queries: %zu\n",
                    users_.NumUsers(), watches_.size());
   out += "monitor: " + monitor_.Report() + "\n";
-  if (!ctx_.extractor_faults.empty()) {
+  lang::ExtractorFaultLedger::Contents ledger = ctx_.extractor_faults.Read();
+  if (!ledger.faults.empty()) {
     out += "degraded operators:";
-    for (const auto& [name, faults] : ctx_.extractor_faults) {
-      out += StrFormat(
-          " %s(faults=%zu%s)", name.c_str(), faults,
-          ctx_.quarantined_extractors.count(name) > 0 ? ", quarantined"
-                                                      : "");
+    for (const auto& [name, faults] : ledger.faults) {
+      out += StrFormat(" %s(faults=%zu%s)", name.c_str(), faults,
+                       ledger.quarantined.count(name) > 0 ? ", quarantined"
+                                                          : "");
     }
     out += '\n';
   }
@@ -818,10 +795,7 @@ std::string System::StatusReport() const {
                          obs::EventJournal::Instance().recorded()));
     out += '\n';
   }
-  IntegrityCounters recovered = db_->recovery_report();
-  if (intermediate_ != nullptr) {
-    recovered.Merge(intermediate_->recovery_report());
-  }
+  IntegrityCounters recovered = RecoveryReport();
   IntegrityCounters scrub_snapshot;
   bool scrubbed;
   {
@@ -1093,7 +1067,7 @@ Result<IntegrityCounters> System::ScrubStorage() {
                    obs::EventCode::kWatchdogScrub,
                    counters.AnyDamage() ? 1 : 0, counters.corrupt_records, 0,
                    "scrub storage");
-  PublishIntegrityGauges("integrity.scrub", counters);
+  PublishIntegrity("scrub", counters);
   return counters;
 }
 
@@ -1174,34 +1148,18 @@ Result<query::Relation> System::RunForm(const query::QueryForm& form,
     return Status::FailedPrecondition(
         "no fact view bound (call BuildBeliefsFromView)");
   }
+  auto execute = [&] {
+    return query::ExecuteStructuredQuery(form.query, *rel, intr, ctx_.exec);
+  };
+  if (query_cache_ == nullptr || (ctx_.cache_gate && !ctx_.cache_gate())) {
+    return execute();
+  }
   // Forms run over exactly one input — the bound fact view — so their
   // cache entries carry a single epoch. The fingerprint is the rendered
   // SQL: two forms with identical SQL are the same query.
-  bool use_cache =
-      query_cache_ != nullptr && (!ctx_.cache_gate || ctx_.cache_gate());
-  std::string fingerprint;
-  query::EpochVector at;
-  if (use_cache) {
-    fingerprint = "form:" + fact_view_ + ":" + form.query.ToSql();
-    at = query_cache_->epochs().Snapshot({"view:" + fact_view_});
-    if (std::optional<query::Relation> hit =
-            query_cache_->Lookup(fingerprint)) {
-      return std::move(*hit);
-    }
-  }
-  int64_t started_nanos = clock()->NowNanos();
-  STRUCTURA_ASSIGN_OR_RETURN(
-      query::Relation out,
-      query::ExecuteStructuredQuery(form.query, *rel, intr, ctx_.exec));
-  if (use_cache) {
-    obs::CostVector cost;
-    cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] =
-        static_cast<uint64_t>(
-            std::max<int64_t>(0, clock()->NowNanos() - started_nanos));
-    cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = rel->size();
-    query_cache_->Insert(fingerprint, std::move(at), out, cost);
-  }
-  return out;
+  return query_cache_->GetOrCompute(
+      "form:" + fact_view_ + ":" + form.query.ToSql(), {"view:" + fact_view_},
+      execute);
 }
 
 }  // namespace structura::core

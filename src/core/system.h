@@ -26,6 +26,7 @@
 #include "lang/executor.h"
 #include "obs/flight_recorder.h"
 #include "obs/incident.h"
+#include "obs/metrics.h"
 #include "provenance/lineage.h"
 #include "query/hybrid.h"
 #include "query/keyword_index.h"
@@ -229,8 +230,10 @@ class System {
   /// reports + the latest per-store scrub, `storage.disk` from the I/O
   /// environment's failure ledger plus a live probe write (critical
   /// while the disk is unwritable or a sink is pending heal — the
-  /// serve layer keys read-only brownout off it), `ie` from
-  /// extraction-fault and quarantine telemetry. Serving components add their own
+  /// serve layer keys read-only brownout off it), `ie` from this
+  /// System's own extractor quarantine ledger (degraded while any
+  /// extractor is quarantined, critical when all are). Serving
+  /// components add their own
   /// (Frontend tags operator breakers into `query.*` / `serve`). The
   /// model lives as long as the System; registrants must detach before
   /// the System is destroyed.
@@ -377,9 +380,10 @@ class System {
   }
 
   /// Extractors quarantined after exhausting their error budget during
-  /// program execution (graceful degradation; see ExecutionContext).
-  const std::set<std::string>& QuarantinedExtractors() const {
-    return ctx_.quarantined_extractors;
+  /// this System's program execution (graceful degradation; see
+  /// ExecutionContext).
+  std::set<std::string> QuarantinedExtractors() const {
+    return ctx_.extractor_faults.Read().quarantined;
   }
 
   /// The epoch-versioned query result cache, or nullptr when disabled
@@ -408,6 +412,12 @@ class System {
   /// Registers the built-in storage/ie signals into health_ (called
   /// from Create, after the stores are open).
   void RegisterBuiltinHealthSignals();
+  /// What opening the stores found: the final store's WAL and
+  /// checkpoint, the intermediate segment log and the snapshot journal.
+  IntegrityCounters RecoveryReport() const;
+  /// Sets the `integrity.<pass>.<field>` gauges, one per field.
+  void PublishIntegrity(const std::string& pass,
+                        const IntegrityCounters& counters);
   /// The watchdog thread body.
   void WatchdogLoop();
   /// Dumps an incident bundle for `trigger` if incidents are enabled
@@ -424,6 +434,11 @@ class System {
   std::vector<ie::ExtractorPtr> owned_extractors_;
   std::vector<std::unique_ptr<ii::SimilarityMatcher>> owned_matchers_;
   lang::ExecutionContext ctx_;
+  /// This System's own metrics (the integrity.* gauges and the
+  /// ie.quarantined_extractors callback gauge over ctx_), included in
+  /// the process registry while the System lives. Declared after ctx_
+  /// so it is gone before the state its callback reads.
+  obs::MetricsRegistry metrics_{&obs::MetricsRegistry::Default()};
 
   std::unique_ptr<rdbms::Database> db_;
   std::unique_ptr<storage::SegmentStore> intermediate_;

@@ -1,9 +1,7 @@
 #include "lang/executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
-#include <mutex>
 #include <set>
 
 #include "common/failpoint.h"
@@ -85,42 +83,23 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
     selected.push_back(d);
   }
 
-  // Fault/quarantine bookkeeping is shared across morsels; one local
-  // mutex covers it. (ExecutionContext stays copyable — the lock lives
-  // on this frame, not in the context.)
-  std::mutex fault_mu;
   auto extract_doc = [&](const text::Document& doc,
                          std::vector<query::Row>* rows, size_t* runs) {
     std::string doc_category =
         doc.categories.empty() ? "" : doc.categories.front();
     for (size_t op_index = 0; op_index < ops.size(); ++op_index) {
       const std::string& op_name = plan.extractors[op_index];
-      bool quarantined;
-      {
-        std::lock_guard<std::mutex> lock(fault_mu);
-        quarantined = ctx->quarantined_extractors.count(op_name) > 0;
-      }
-      if (quarantined) continue;
+      if (ctx->extractor_faults.IsQuarantined(op_name)) continue;
       Status injected = MaybeFail("ie.extract");
       if (injected.ok()) injected = MaybeFail("ie.extract." + op_name);
       if (!injected.ok()) {
         // A failing extractor degrades the answer, never the program:
-        // charge the fault, quarantine past the budget, move on. The
-        // registry mirror of these counts is what the health model's
-        // "ie" signal reads — it must never touch ctx directly (the
-        // watchdog runs concurrently with this loop).
+        // charge the fault, quarantine past the budget, move on.
         static obs::Counter* fault_counter =
             obs::MetricsRegistry::Default().GetCounter("ie.extract.faults");
-        static obs::Gauge* quarantined_gauge =
-            obs::MetricsRegistry::Default().GetGauge(
-                "ie.quarantined_extractors");
         fault_counter->Increment();
-        std::lock_guard<std::mutex> lock(fault_mu);
-        size_t faults = ++ctx->extractor_faults[op_name];
-        if (faults >= ctx->extractor_error_budget &&
-            ctx->quarantined_extractors.insert(op_name).second) {
-          quarantined_gauge->Add(1);
-        }
+        ctx->extractor_faults.RecordFault(op_name,
+                                          ctx->extractor_error_budget);
         continue;
       }
       const ie::Extractor* op = ops[op_index];
@@ -446,28 +425,15 @@ Result<Interpreter::StatementResult> Interpreter::RunStatement(
   }
   // Result caching for pure SELECTs: key by canonical plan fingerprint,
   // validated against the epoch snapshot of every view the plan reads.
-  // The snapshot is taken BEFORE execution — if a writer bumps an input
-  // mid-run, the entry is recorded at the pre-write epoch and the next
-  // lookup discards it, so a stale hit is structurally impossible.
   bool use_cache = stmt.kind == Statement::Kind::kSelect &&
                    ctx_->cache != nullptr && PlanIsCacheable(*plan) &&
                    (!ctx_->cache_gate || ctx_->cache_gate());
-  std::string fingerprint;
-  query::EpochVector at;
-  if (use_cache) {
-    fingerprint = PlanFingerprint(*plan);
-    at = ctx_->cache->epochs().Snapshot(CollectPlanInputs(*plan));
-    if (std::optional<query::Relation> hit =
-            ctx_->cache->Lookup(fingerprint)) {
-      result.relation = std::move(*hit);
-      result.has_relation = true;
-      result.text = StrFormat("%zu rows", result.relation.size());
-      return result;
-    }
-  }
-  auto exec_start = std::chrono::steady_clock::now();
-  STRUCTURA_ASSIGN_OR_RETURN(query::Relation rel,
-                             ExecutePlan(*plan, ctx_));
+  auto execute = [&] { return ExecutePlan(*plan, ctx_); };
+  STRUCTURA_ASSIGN_OR_RETURN(
+      query::Relation rel,
+      use_cache ? ctx_->cache->GetOrCompute(PlanFingerprint(*plan),
+                                            CollectPlanInputs(*plan), execute)
+                : execute());
   if (stmt.kind == Statement::Kind::kCreateView) {
     ctx_->views[stmt.view_name] = std::move(rel);
     // Remember EXTRACT definitions so REFRESH VIEW can re-run them
@@ -485,16 +451,6 @@ Result<Interpreter::StatementResult> Interpreter::RunStatement(
                             stmt.view_name.c_str(),
                             ctx_->views[stmt.view_name].size());
   } else {
-    if (use_cache) {
-      obs::CostVector cost;
-      cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] =
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - exec_start)
-                  .count());
-      cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = rel.size();
-      ctx_->cache->Insert(fingerprint, std::move(at), rel, cost);
-    }
     result.relation = std::move(rel);
     result.has_relation = true;
     result.text = StrFormat("%zu rows", result.relation.size());

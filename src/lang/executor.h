@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,45 @@
 #include "text/document.h"
 
 namespace structura::lang {
+
+/// Per-context extractor fault ledger (see
+/// ExecutionContext::extractor_error_budget). Its one lock is taken by
+/// the EXTRACT workers, and by the System's StatusReport,
+/// QuarantinedExtractors and `ie` health signal. A copy holds the
+/// source's contents under a lock of its own, so every ExecutionContext
+/// copy (e.g. one per request) keeps its own quarantine state.
+class ExtractorFaultLedger {
+ public:
+  struct Contents {
+    std::map<std::string, size_t> faults;  // extractor -> faults so far
+    std::set<std::string> quarantined;
+  };
+
+  ExtractorFaultLedger() = default;
+  ExtractorFaultLedger(const ExtractorFaultLedger& other)
+      : contents_(other.Read()) {}
+
+  bool IsQuarantined(const std::string& extractor) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return contents_.quarantined.count(extractor) > 0;
+  }
+  /// Charges one fault to `extractor`, quarantining it once its faults
+  /// reach `budget`.
+  void RecordFault(const std::string& extractor, size_t budget) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (++contents_.faults[extractor] >= budget) {
+      contents_.quarantined.insert(extractor);
+    }
+  }
+  Contents Read() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return contents_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  Contents contents_;
+};
 
 /// Everything a plan needs to run: the corpus, operator registries, the
 /// view namespace, and an optional human-review channel.
@@ -89,8 +129,7 @@ struct ExecutionContext {
   /// extractors. Counters survive across statements so the System can
   /// report the degradation.
   size_t extractor_error_budget = 3;
-  std::map<std::string, size_t> extractor_faults;
-  std::set<std::string> quarantined_extractors;
+  ExtractorFaultLedger extractor_faults;
 
   OptimizerCatalog Catalog() const {
     OptimizerCatalog c;

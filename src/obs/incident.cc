@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 
 namespace structura::obs {
 namespace {
@@ -23,18 +22,6 @@ std::string Slug(const std::string& trigger) {
     if (out.size() >= 48) break;
   }
   return out;
-}
-
-Counter* DumpsCounter() {
-  static Counter* c =
-      MetricsRegistry::Default().GetCounter("obs.incidents.dumped");
-  return c;
-}
-
-Counter* SuppressedCounter() {
-  static Counter* c =
-      MetricsRegistry::Default().GetCounter("obs.incidents.suppressed");
-  return c;
 }
 
 }  // namespace
@@ -55,8 +42,7 @@ std::string IncidentManager::MaybeDump(const std::string& trigger) {
   if (last_dump_nanos_ >= 0 &&
       now - last_dump_nanos_ <
           static_cast<int64_t>(options_.cooldown_ms) * 1'000'000) {
-    ++suppressed_;
-    SuppressedCounter()->Increment();
+    suppressed_->Increment();
     return "";
   }
   // Claim the cooldown window before the (slow, unlocked-sections) file
@@ -103,26 +89,12 @@ std::string IncidentManager::MaybeDump(const std::string& trigger) {
         << "incident bundle " << dir << ": some sections failed to write";
   }
 
-  {
-    std::lock_guard<std::mutex> relock(mutex_);
-    ++dumps_;
-  }
-  DumpsCounter()->Increment();
+  dumps_->Increment();
   RecordEvent(EventCategory::kIncident, EventCode::kIncidentDump, seq, 0, 0,
               InternName(Slug(trigger)));
   STRUCTURA_LOG(kWarning) << "incident bundle written: " << dir
                           << " (trigger: " << trigger << ")";
   return dir;
-}
-
-uint64_t IncidentManager::dumps() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dumps_;
-}
-
-uint64_t IncidentManager::suppressed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return suppressed_;
 }
 
 int64_t IncidentManager::last_dump_nanos() const {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "obs/metrics.h"
 
 namespace structura::obs {
 
@@ -57,8 +58,8 @@ class IncidentManager {
   std::string MaybeDump(const std::string& trigger);
 
   /// Bundles written / triggers suppressed by the cooldown.
-  uint64_t dumps() const;
-  uint64_t suppressed() const;
+  uint64_t dumps() const { return dumps_->Value(); }
+  uint64_t suppressed() const { return suppressed_->Value(); }
 
   /// Journal-clock stamp of the last bundle, or -1 when none yet.
   int64_t last_dump_nanos() const;
@@ -73,8 +74,10 @@ class IncidentManager {
   std::vector<std::pair<std::string, ContentFn>> sections_;
   int64_t last_dump_nanos_ = -1;
   uint64_t seq_ = 0;
-  uint64_t dumps_ = 0;
-  uint64_t suppressed_ = 0;
+  /// This manager's own counts, included in the process registry.
+  MetricsRegistry metrics_{&MetricsRegistry::Default()};
+  Counter* dumps_ = metrics_.GetCounter("obs.incidents.dumped");
+  Counter* suppressed_ = metrics_.GetCounter("obs.incidents.suppressed");
 };
 
 }  // namespace structura::obs

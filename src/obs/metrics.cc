@@ -51,31 +51,94 @@ MetricsRegistry& MetricsRegistry::Default() {
   return *instance;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(name, std::make_unique<Counter>(name)).first;
+namespace {
+
+template <typename T>
+T* GetOrAdd(std::map<std::string, std::unique_ptr<T>>* metrics,
+            const std::string& name) {
+  auto it = metrics->find(name);
+  if (it == metrics->end()) {
+    it = metrics->emplace(name, std::make_unique<T>(name)).first;
   }
   return it->second.get();
+}
+
+/// Per-name totals over several snapshots (a registry's own metrics
+/// plus those of the registries it includes).
+struct Totals {
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, int64_t> gauges;
+  std::map<std::string, MetricsSnapshot::HistogramValue> histograms;
+
+  void Add(const MetricsSnapshot& part) {
+    for (const auto& [name, v] : part.counters) counters[name] += v;
+    for (const auto& [name, v] : part.gauges) gauges[name] += v;
+    for (const MetricsSnapshot::HistogramValue& h : part.histograms) {
+      MetricsSnapshot::HistogramValue& into = histograms[h.name];
+      into.name = h.name;
+      into.count += h.count;
+      into.sum += h.sum;
+      for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+        into.buckets[b] += h.buckets[b];
+      }
+    }
+  }
+
+  MetricsSnapshot ToSnapshot() {
+    MetricsSnapshot snap;
+    snap.counters.assign(counters.begin(), counters.end());
+    snap.gauges.assign(gauges.begin(), gauges.end());
+    for (auto& [name, h] : histograms) snap.histograms.push_back(std::move(h));
+    return snap;
+  }
+};
+
+}  // namespace
+
+MetricsRegistry::MetricsRegistry(MetricsRegistry* parent) : parent_(parent) {
+  std::lock_guard<std::mutex> lock(parent_->mutex_);
+  parent_->children_.push_back(this);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  if (parent_ != nullptr) parent_->Fold(this);
+}
+
+void MetricsRegistry::Fold(MetricsRegistry* child) {
+  // One critical section with Snapshot(): a concurrent snapshot sees
+  // the child either included or folded, never both or neither.
+  std::lock_guard<std::mutex> lock(mutex_);
+  children_.erase(std::find(children_.begin(), children_.end(), child));
+  std::lock_guard<std::mutex> child_lock(child->mutex_);
+  for (const auto& [name, c] : child->counters_) {
+    GetOrAdd(&counters_, name)->Add(c->Value());
+  }
+  for (const auto& [name, h] : child->histograms_) {
+    Histogram* into = GetOrAdd(&histograms_, name);
+    for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+      into->buckets_[b].fetch_add(
+          h->buckets_[b].load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+    }
+    into->sums_[0].v.fetch_add(h->Sum(), std::memory_order_relaxed);
+  }
+  for (const auto& [name, g] : child->gauges_) GetOrAdd(&gauges_, name);
+  for (const auto& [name, fg] : child->gauge_fns_) GetOrAdd(&gauges_, name);
+}
+
+Counter* MetricsRegistry::GetCounter(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return GetOrAdd(&counters_, name);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::make_unique<Gauge>(name)).first;
-  }
-  return it->second.get();
+  return GetOrAdd(&gauges_, name);
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::make_unique<Histogram>(name)).first;
-  }
-  return it->second.get();
+  return GetOrAdd(&histograms_, name);
 }
 
 uint64_t MetricsRegistry::RegisterGaugeFn(const std::string& name,
@@ -94,37 +157,33 @@ void MetricsRegistry::UnregisterGaugeFn(const std::string& name,
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snap;
+  Totals totals;
   // Copy the callback list out so user callbacks run without the
   // registry lock held (they may touch other locks, e.g. a pool mutex).
   std::vector<std::pair<std::string, GaugeFn>> fns;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, c] : counters_) {
-      snap.counters.emplace_back(name, c->Value());
-    }
-    for (const auto& [name, g] : gauges_) {
-      snap.gauges.emplace_back(name, g->Value());
-    }
+    for (const auto& [name, c] : counters_) totals.counters[name] += c->Value();
+    for (const auto& [name, g] : gauges_) totals.gauges[name] += g->Value();
     for (const auto& [name, h] : histograms_) {
-      MetricsSnapshot::HistogramValue hv;
+      MetricsSnapshot::HistogramValue& hv = totals.histograms[name];
       hv.name = name;
-      hv.sum = h->Sum();
+      hv.sum += h->Sum();
       for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-        hv.buckets[b] = h->buckets_[b].load(std::memory_order_relaxed);
-        hv.count += hv.buckets[b];
+        uint64_t n = h->buckets_[b].load(std::memory_order_relaxed);
+        hv.buckets[b] += n;
+        hv.count += n;
       }
-      snap.histograms.push_back(std::move(hv));
     }
-    for (const auto& [name, fg] : gauge_fns_) {
-      fns.emplace_back(name, fg.fn);
+    for (const auto& [name, fg] : gauge_fns_) fns.emplace_back(name, fg.fn);
+    // Included registries are read under this lock, so none can fold
+    // into this registry halfway through the snapshot.
+    for (const MetricsRegistry* child : children_) {
+      totals.Add(child->Snapshot());
     }
   }
-  for (auto& [name, fn] : fns) {
-    snap.gauges.emplace_back(name, fn ? fn() : 0);
-  }
-  std::sort(snap.gauges.begin(), snap.gauges.end());
-  return snap;
+  for (auto& [name, fn] : fns) totals.gauges[name] += fn ? fn() : 0;
+  return totals.ToSnapshot();
 }
 
 namespace {

@@ -165,11 +165,24 @@ struct MetricsSnapshot {
 /// registries for isolation. Get* registers on first use and returns a
 /// stable pointer — callers cache it (e.g. in a member or a function-
 /// local static) so the mutex is off the hot path.
+///
+/// **Owned registries.** A component whose numbers are its own keeps
+/// them in a registry constructed with a parent (`Default()`) and reads
+/// them back directly: one count per number, no baselines. The parent's
+/// Snapshot() sums it in by name while it lives (counters and gauges
+/// add, histograms add bucket by bucket); at its destruction its
+/// counters and histograms fold into the parent, so no exposed
+/// cumulative value drops, and its gauges leave only their name. The
+/// owner stops writing before its registry dies; the parent outlives
+/// it. An owned registry's callback gauges run under the parent's lock
+/// and must not call into the parent.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
+  explicit MetricsRegistry(MetricsRegistry* parent);
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+  ~MetricsRegistry();
 
   static MetricsRegistry& Default();
 
@@ -194,12 +207,19 @@ class MetricsRegistry {
     GaugeFn fn;
   };
 
+  /// Removes `child` from children_ and folds its counters and
+  /// histograms into this registry (see the class comment).
+  void Fold(MetricsRegistry* child);
+
+  MetricsRegistry* const parent_ = nullptr;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, FnGauge> gauge_fns_;
   uint64_t next_gauge_fn_id_ = 1;
+  /// Owned registries currently included in Snapshot().
+  std::vector<MetricsRegistry*> children_;
 };
 
 /// RAII latency recorder: records elapsed nanoseconds into `h` at scope

@@ -1,42 +1,15 @@
 #include "query/result_cache.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
+#include "common/clock.h"
 #include "obs/trace.h"
 #include "rdbms/value.h"
 
 namespace structura::query {
 
 namespace {
-
-/// Cached counters/gauges — registry pointers are stable for the
-/// process lifetime, so one lookup each suffices.
-struct CacheMetrics {
-  obs::Counter* hit;
-  obs::Counter* miss;
-  obs::Counter* evict;
-  obs::Counter* inval;
-  obs::Counter* reject;
-  obs::Gauge* bytes;
-  obs::Gauge* entries;
-
-  static CacheMetrics& Get() {
-    static CacheMetrics m = [] {
-      obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-      CacheMetrics out;
-      out.hit = r.GetCounter("query.cache.hit");
-      out.miss = r.GetCounter("query.cache.miss");
-      out.evict = r.GetCounter("query.cache.evict");
-      out.inval = r.GetCounter("query.cache.inval");
-      out.reject = r.GetCounter("query.cache.reject");
-      out.bytes = r.GetGauge("query.cache.bytes");
-      out.entries = r.GetGauge("query.cache.entries");
-      return out;
-    }();
-    return m;
-  }
-};
 
 /// Rough retained-memory estimate for budget accounting: container
 /// headers plus string payloads. Exactness doesn't matter — it only has
@@ -96,10 +69,9 @@ std::optional<Relation> QueryResultCache::Lookup(
     }
     if (current) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
+      hits_->Increment();
       Relation out = it->second->result;
       lock.unlock();
-      CacheMetrics::Get().hit->Increment();
       TRACE_SPAN("query.cache.hit");
       return out;
     }
@@ -109,18 +81,32 @@ std::optional<Relation> QueryResultCache::Lookup(
     bytes_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);
-    ++stats_.invalidations;
-    stats_.entries = index_.size();
-    stats_.bytes = bytes_;
-    CacheMetrics::Get().inval->Increment();
-    CacheMetrics::Get().bytes->Set(static_cast<int64_t>(bytes_));
-    CacheMetrics::Get().entries->Set(static_cast<int64_t>(index_.size()));
+    invalidations_->Increment();
+    PublishSizeLocked();
   }
-  ++stats_.misses;
+  misses_->Increment();
   lock.unlock();
-  CacheMetrics::Get().miss->Increment();
   TRACE_SPAN("query.cache.miss");
   return std::nullopt;
+}
+
+Result<Relation> QueryResultCache::GetOrCompute(
+    const std::string& fingerprint, const std::vector<std::string>& inputs,
+    const std::function<Result<Relation>()>& compute) {
+  EpochVector at = epochs_.Snapshot(inputs);
+  if (std::optional<Relation> hit = Lookup(fingerprint)) {
+    return std::move(*hit);
+  }
+  Clock* clock = Clock::Real();
+  int64_t started_nanos = clock->NowNanos();
+  STRUCTURA_ASSIGN_OR_RETURN(Relation out, compute());
+  obs::CostVector cost;
+  cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] =
+      static_cast<uint64_t>(
+          std::max<int64_t>(0, clock->NowNanos() - started_nanos));
+  cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = out.size();
+  Insert(fingerprint, std::move(at), out, cost);
+  return out;
 }
 
 void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
@@ -130,8 +116,7 @@ void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
   if (cost.Score() < options_.min_cost_score || bytes > options_.max_bytes ||
       options_.max_entries == 0) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.rejected;
-    CacheMetrics::Get().reject->Increment();
+    rejected_->Increment();
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -145,10 +130,7 @@ void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
   index_[fingerprint] = lru_.begin();
   bytes_ += bytes;
   EvictLocked();
-  stats_.entries = index_.size();
-  stats_.bytes = bytes_;
-  CacheMetrics::Get().bytes->Set(static_cast<int64_t>(bytes_));
-  CacheMetrics::Get().entries->Set(static_cast<int64_t>(index_.size()));
+  PublishSizeLocked();
 }
 
 void QueryResultCache::EvictLocked() {
@@ -158,9 +140,13 @@ void QueryResultCache::EvictLocked() {
     bytes_ -= victim.bytes;
     index_.erase(victim.fingerprint);
     lru_.pop_back();
-    ++stats_.evictions;
-    CacheMetrics::Get().evict->Increment();
+    evictions_->Increment();
   }
+}
+
+void QueryResultCache::PublishSizeLocked() {
+  bytes_gauge_->Set(static_cast<int64_t>(bytes_));
+  entries_gauge_->Set(static_cast<int64_t>(index_.size()));
 }
 
 void QueryResultCache::Clear() {
@@ -168,15 +154,21 @@ void QueryResultCache::Clear() {
   lru_.clear();
   index_.clear();
   bytes_ = 0;
-  stats_.entries = 0;
-  stats_.bytes = 0;
-  CacheMetrics::Get().bytes->Set(0);
-  CacheMetrics::Get().entries->Set(0);
+  PublishSizeLocked();
 }
 
 QueryResultCache::Stats QueryResultCache::stats() const {
+  // Counters move under mutex_ too, so the fields agree with each other.
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats s;
+  s.hits = hits_->Value();
+  s.misses = misses_->Value();
+  s.evictions = evictions_->Value();
+  s.invalidations = invalidations_->Value();
+  s.rejected = rejected_->Value();
+  s.entries = index_.size();
+  s.bytes = bytes_;
+  return s;
 }
 
 }  // namespace structura::query

@@ -2,6 +2,7 @@
 #define STRUCTURA_QUERY_RESULT_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -10,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "query/relation.h"
 
 namespace structura::query {
@@ -56,8 +59,10 @@ class EpochMap {
 /// Bounded, epoch-validated cache of query results, keyed by canonical
 /// plan fingerprint. Eviction is LRU under both an entry count and a
 /// byte budget; admission is cost-aware (entries cheaper to recompute
-/// than `min_cost_score` are not worth their memory). All metrics are
-/// published as query.cache.{hit,miss,evict,inval,reject,bytes,entries}.
+/// than `min_cost_score` are not worth their memory). Its counters and
+/// gauges, query.cache.{hit,miss,evict,inval,reject,bytes,entries}, live
+/// in the cache's own metrics registry (included in the process
+/// registry while the cache lives); stats() reads the same counters.
 class QueryResultCache {
  public:
   struct Options {
@@ -91,6 +96,16 @@ class QueryResultCache {
   /// miss.
   std::optional<Relation> Lookup(const std::string& fingerprint);
 
+  /// The cached-execution path every caller shares: snapshots the
+  /// epochs of `inputs` (before running — see EpochMap::Snapshot), then
+  /// serves `fingerprint` from the cache when current, else runs
+  /// `compute` and admits its result at that snapshot. Admission cost is
+  /// compute's elapsed time on the real clock (recomputation costs real
+  /// time, whatever clock the caller runs on) plus the rows it returned.
+  Result<Relation> GetOrCompute(
+      const std::string& fingerprint, const std::vector<std::string>& inputs,
+      const std::function<Result<Relation>()>& compute);
+
   /// Admits `result` under `fingerprint`, recorded at `at` (the epoch
   /// snapshot taken before execution — see EpochMap::Snapshot). Entries
   /// below the admission cost floor, or alone bigger than the whole
@@ -99,7 +114,7 @@ class QueryResultCache {
   void Insert(const std::string& fingerprint, EpochVector at,
               Relation result, const obs::CostVector& cost);
 
-  /// Drops every entry (stats and epochs are preserved).
+  /// Drops every entry (counters and epochs are preserved).
   void Clear();
 
   Stats stats() const;
@@ -114,15 +129,25 @@ class QueryResultCache {
 
   /// Evicts from the LRU tail until budgets hold. Caller holds mutex_.
   void EvictLocked();
+  /// Publishes bytes_ and the entry count as gauges. Caller holds mutex_.
+  void PublishSizeLocked();
 
   Options options_;
   EpochMap epochs_;
+
+  obs::MetricsRegistry metrics_{&obs::MetricsRegistry::Default()};
+  obs::Counter* hits_ = metrics_.GetCounter("query.cache.hit");
+  obs::Counter* misses_ = metrics_.GetCounter("query.cache.miss");
+  obs::Counter* evictions_ = metrics_.GetCounter("query.cache.evict");
+  obs::Counter* invalidations_ = metrics_.GetCounter("query.cache.inval");
+  obs::Counter* rejected_ = metrics_.GetCounter("query.cache.reject");
+  obs::Gauge* bytes_gauge_ = metrics_.GetGauge("query.cache.bytes");
+  obs::Gauge* entries_gauge_ = metrics_.GetGauge("query.cache.entries");
 
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   size_t bytes_ = 0;
-  Stats stats_;
 };
 
 }  // namespace structura::query

@@ -11,12 +11,10 @@
 
 namespace structura::serve {
 
-/// Point-in-time snapshot of the frontend's serving counters, consumed
-/// by System::StatusReport(). Since the observability PR these are a
-/// *view over the process MetricsRegistry* (`serve.requests.*`): the
-/// frontend bumps registry counters and Counters() reports the delta
-/// since the frontend's construction, so existing exact-count tests
-/// keep passing while the registry stays the single source of truth.
+/// Point-in-time snapshot of one frontend's serving counters, consumed
+/// by System::StatusReport(). Read straight from the frontend's own
+/// metrics registry (`serve.requests.*`), which the process registry
+/// sums in while the frontend lives and keeps after it is gone.
 /// Invariants the chaos test enforces (globally AND per priority tier):
 ///   admitted + shed + not_found == issued        (every Submit decided)
 ///   ok + deadline_exceeded + cancelled

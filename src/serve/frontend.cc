@@ -65,45 +65,17 @@ std::string ServingCounters::ToString() const {
 Frontend::Frontend(Options options)
     : options_(options),
       clock_(structura::Clock::OrReal(options.clock)),
-      registry_(options.registry != nullptr
-                    ? options.registry
-                    : &obs::MetricsRegistry::Default()),
-      issued_(registry_->GetCounter("serve.requests.issued")),
-      admitted_(registry_->GetCounter("serve.requests.admitted")),
-      shed_(registry_->GetCounter("serve.requests.shed")),
-      not_found_(registry_->GetCounter("serve.requests.not_found")),
-      ok_(registry_->GetCounter("serve.requests.ok")),
-      deadline_exceeded_(
-          registry_->GetCounter("serve.requests.deadline_exceeded")),
-      cancelled_(registry_->GetCounter("serve.requests.cancelled")),
-      unavailable_(registry_->GetCounter("serve.requests.unavailable")),
-      shed_queued_wait_(
-          registry_->GetCounter("serve.requests.shed_queued_wait")),
-      breaker_rejected_(
-          registry_->GetCounter("serve.requests.breaker_rejected")),
-      read_only_refused_(
-          registry_->GetCounter("serve.requests.read_only_refused")),
-      shed_brownout_(registry_->GetCounter("serve.requests.shed_brownout")),
-      fallback_served_(registry_->GetCounter("serve.requests.fallback_served")),
-      degraded_answers_(
-          registry_->GetCounter("serve.requests.degraded_answers")),
-      retries_(registry_->GetCounter("serve.requests.retries")),
-      root_spans_(registry_->GetCounter("serve.spans.root")),
-      request_latency_(
-          registry_->GetHistogram("serve.request.latency_ns")),
-      queue_wait_(registry_->GetHistogram("serve.queue.wait_ns")),
       policy_(options.brownout, options.health),
       pool_(options.num_threads,
             options.shed_enabled ? options.max_queue_depth : 0) {
   for (size_t t = 0; t < kNumPriorities; ++t) {
     const std::string prefix = std::string("serve.requests.tier.") +
                                PriorityName(static_cast<Priority>(t));
-    tier_issued_[t] = registry_->GetCounter(prefix + ".issued");
-    tier_admitted_[t] = registry_->GetCounter(prefix + ".admitted");
-    tier_shed_[t] = registry_->GetCounter(prefix + ".shed");
-    tier_not_found_[t] = registry_->GetCounter(prefix + ".not_found");
+    tier_issued_[t] = metrics_.GetCounter(prefix + ".issued");
+    tier_admitted_[t] = metrics_.GetCounter(prefix + ".admitted");
+    tier_shed_[t] = metrics_.GetCounter(prefix + ".shed");
+    tier_not_found_[t] = metrics_.GetCounter(prefix + ".not_found");
   }
-  base_ = RegistryValues();
   pool_.PublishMetrics("serve");
   if (options_.health != nullptr) {
     uint64_t id = options_.health->Register(
@@ -151,7 +123,7 @@ void Frontend::RegisterOperator(const std::string& name, Handler handler) {
   it->second->handler = std::move(handler);
   it->second->span_name = span_name;
   for (size_t d = 0; d < obs::kNumCostDims; ++d) {
-    it->second->cost_hist[d] = registry_->GetHistogram(
+    it->second->cost_hist[d] = metrics_.GetHistogram(
         "serve.op." + name + ".cost." +
         obs::CostDimName(static_cast<obs::CostDim>(d)));
   }
@@ -293,6 +265,23 @@ void Frontend::Resolve(std::promise<Status>* done, Status s) {
   done->set_value(std::move(s));
 }
 
+Status Frontend::Attempt(Operator* op, const std::string& op_name,
+                         const RequestContext& ctx) {
+  // Failpoint-injected operator errors land here, before the real
+  // handler — the hook tests and the chaos harness use to drive
+  // breakers and retry paths deterministically.
+  STRUCTURA_FAILPOINT("serve.op");
+  STRUCTURA_FAILPOINT("serve.op." + op_name);
+  TRACE_SPAN("serve.handler");
+  ScopedCacheBypass bypass(ctx.no_cache);
+  int64_t started_nanos = clock_->NowNanos();
+  Status st = op->handler(ctx);
+  obs::ChargeCost(obs::CostDim::kCpuNanos,
+                  static_cast<uint64_t>(std::max<int64_t>(
+                      0, clock_->NowNanos() - started_nanos)));
+  return st;
+}
+
 bool Frontend::TryFallback(Operator* primary, const RequestContext& ctx,
                            const std::string& why,
                            std::promise<Status>* done) {
@@ -324,17 +313,7 @@ bool Frontend::TryFallback(Operator* primary, const RequestContext& ctx,
   TRACE_SPAN("serve.fallback");
   // The fallback attempt runs through the same failpoint sites as a
   // primary attempt, so chaos reaches it too.
-  Status st = MaybeFail("serve.op");
-  if (st.ok()) st = MaybeFail("serve.op." + fb_name);
-  if (st.ok()) {
-    TRACE_SPAN("serve.handler");
-    ScopedCacheBypass bypass(ctx.no_cache);
-    int64_t started_nanos = clock_->NowNanos();
-    st = fb->handler(ctx);
-    obs::ChargeCost(obs::CostDim::kCpuNanos,
-                    static_cast<uint64_t>(std::max<int64_t>(
-                        0, clock_->NowNanos() - started_nanos)));
-  }
+  Status st = Attempt(fb, fb_name, ctx);
   if (st.ok()) {
     fb->breaker.RecordSuccess(admission);
     // The degraded flag is the contract: a fallback-served answer is
@@ -507,20 +486,7 @@ void Frontend::Execute(Operator* op, const std::string& op_name,
       return;
     }
     ++attempt;
-    // Failpoint-injected operator errors land here, before the real
-    // handler — the hook tests and the chaos harness use to drive
-    // breakers and retry paths deterministically.
-    Status st = MaybeFail("serve.op");
-    if (st.ok()) st = MaybeFail("serve.op." + op_name);
-    if (st.ok()) {
-      TRACE_SPAN("serve.handler");
-      ScopedCacheBypass bypass(ctx.no_cache);
-      int64_t started_nanos = clock_->NowNanos();
-      st = op->handler(ctx);
-      obs::ChargeCost(obs::CostDim::kCpuNanos,
-                      static_cast<uint64_t>(std::max<int64_t>(
-                          0, clock_->NowNanos() - started_nanos)));
-    }
+    Status st = Attempt(op, op_name, ctx);
     if (st.ok()) {
       op->breaker.RecordSuccess(admission);
       Resolve(done, Status::OK());
@@ -616,7 +582,7 @@ HealthSample Frontend::AdmissionSignal() const {
   return HealthSample{};
 }
 
-ServingCounters Frontend::RegistryValues() const {
+ServingCounters Frontend::Counters() const {
   ServingCounters c;
   c.issued = issued_->Value();
   c.admitted = admitted_->Value();
@@ -639,33 +605,6 @@ ServingCounters Frontend::RegistryValues() const {
     c.tiers[t].admitted = tier_admitted_[t]->Value();
     c.tiers[t].shed = tier_shed_[t]->Value();
     c.tiers[t].not_found = tier_not_found_[t]->Value();
-  }
-  return c;
-}
-
-ServingCounters Frontend::Counters() const {
-  ServingCounters c = RegistryValues();
-  c.issued -= base_.issued;
-  c.admitted -= base_.admitted;
-  c.shed -= base_.shed;
-  c.not_found -= base_.not_found;
-  c.ok -= base_.ok;
-  c.deadline_exceeded -= base_.deadline_exceeded;
-  c.cancelled -= base_.cancelled;
-  c.unavailable -= base_.unavailable;
-  c.shed_queued_wait -= base_.shed_queued_wait;
-  c.breaker_rejected -= base_.breaker_rejected;
-  c.read_only_refused -= base_.read_only_refused;
-  c.shed_brownout -= base_.shed_brownout;
-  c.fallback_served -= base_.fallback_served;
-  c.degraded_answers -= base_.degraded_answers;
-  c.retries -= base_.retries;
-  c.root_spans -= base_.root_spans;
-  for (size_t t = 0; t < kNumPriorities; ++t) {
-    c.tiers[t].issued -= base_.tiers[t].issued;
-    c.tiers[t].admitted -= base_.tiers[t].admitted;
-    c.tiers[t].shed -= base_.tiers[t].shed;
-    c.tiers[t].not_found -= base_.tiers[t].not_found;
   }
   c.queue_high_water = pool_.stats().queue_high_water;
   std::lock_guard<std::mutex> lock(ops_mutex_);

@@ -114,10 +114,6 @@ class Frontend {
     /// serving), and the refusal reason travels through ctx.response.
     /// Empty disables the gate; inert without Options::health.
     std::string read_only_gate = "storage.disk";
-    /// Registry the serving counters/histograms live in. Defaults to
-    /// the process-wide obs::MetricsRegistry::Default(); tests may
-    /// inject a private registry (it must outlive the frontend).
-    obs::MetricsRegistry* registry = nullptr;
     /// Time source for queue-wait accounting, retry backoff, and the
     /// per-operator breaker timers. nullptr = real time; a
     /// SimulatedClock makes backoff and cooldowns instantaneous and
@@ -175,6 +171,7 @@ class Frontend {
   /// Blocks until every submitted request has resolved.
   void WaitIdle();
 
+  /// This frontend's own serving counters (its registry; see metrics_).
   ServingCounters Counters() const;
   CircuitBreaker::State BreakerState(const std::string& op) const;
 
@@ -207,6 +204,11 @@ class Frontend {
                const RequestContext& ctx, int64_t enqueued_at_nanos,
                std::promise<Status>* done);
 
+  /// One handler attempt: the `serve.op` and `serve.op.<name>`
+  /// failpoints, then the handler, its cpu time charged to the request.
+  Status Attempt(Operator* op, const std::string& op_name,
+                 const RequestContext& ctx);
+
   /// Attempts the fallback ladder for `primary` (reason: `why`).
   /// Returns true when it resolved `done` (served degraded, or the
   /// fallback attempt itself terminated the request); false when no
@@ -221,10 +223,6 @@ class Frontend {
   /// Admission-queue fill signal for the "serve" subsystem.
   HealthSample AdmissionSignal() const;
 
-  /// Raw (process-cumulative) registry values for this frontend's
-  /// counters; Counters() returns these minus base_.
-  ServingCounters RegistryValues() const;
-
   Options options_;
   structura::Clock* clock_;
 
@@ -232,37 +230,45 @@ class Frontend {
   std::map<std::string, std::unique_ptr<Operator>> ops_;
   std::vector<std::string> op_order_;
 
-  // Serving counters live in the metrics registry (serve.requests.*);
-  // the members are cached handles. The registry outlives the frontend
-  // (process-wide default, or caller-provided with wider scope), so the
-  // pool-drained Execute() tasks may safely bump them during teardown.
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::Counter* issued_ = nullptr;
-  obs::Counter* admitted_ = nullptr;
-  obs::Counter* shed_ = nullptr;
-  obs::Counter* not_found_ = nullptr;
-  obs::Counter* ok_ = nullptr;
-  obs::Counter* deadline_exceeded_ = nullptr;
-  obs::Counter* cancelled_ = nullptr;
-  obs::Counter* unavailable_ = nullptr;
-  obs::Counter* shed_queued_wait_ = nullptr;
-  obs::Counter* breaker_rejected_ = nullptr;
-  obs::Counter* read_only_refused_ = nullptr;
-  obs::Counter* shed_brownout_ = nullptr;
-  obs::Counter* fallback_served_ = nullptr;
-  obs::Counter* degraded_answers_ = nullptr;
-  obs::Counter* retries_ = nullptr;
-  obs::Counter* root_spans_ = nullptr;
+  // Serving counters and histograms (serve.requests.*, serve.request.*,
+  // serve.queue.*, serve.op.*) live in this frontend's own registry,
+  // summed into obs::MetricsRegistry::Default() while it lives and
+  // folded into it at destruction; the members below are cached
+  // handles. Destroyed after pool_, so the pool-drained Execute() tasks
+  // may safely bump them during teardown.
+  obs::MetricsRegistry metrics_{&obs::MetricsRegistry::Default()};
+  obs::Counter* issued_ = metrics_.GetCounter("serve.requests.issued");
+  obs::Counter* admitted_ = metrics_.GetCounter("serve.requests.admitted");
+  obs::Counter* shed_ = metrics_.GetCounter("serve.requests.shed");
+  obs::Counter* not_found_ = metrics_.GetCounter("serve.requests.not_found");
+  obs::Counter* ok_ = metrics_.GetCounter("serve.requests.ok");
+  obs::Counter* deadline_exceeded_ =
+      metrics_.GetCounter("serve.requests.deadline_exceeded");
+  obs::Counter* cancelled_ = metrics_.GetCounter("serve.requests.cancelled");
+  obs::Counter* unavailable_ =
+      metrics_.GetCounter("serve.requests.unavailable");
+  obs::Counter* shed_queued_wait_ =
+      metrics_.GetCounter("serve.requests.shed_queued_wait");
+  obs::Counter* breaker_rejected_ =
+      metrics_.GetCounter("serve.requests.breaker_rejected");
+  obs::Counter* read_only_refused_ =
+      metrics_.GetCounter("serve.requests.read_only_refused");
+  obs::Counter* shed_brownout_ =
+      metrics_.GetCounter("serve.requests.shed_brownout");
+  obs::Counter* fallback_served_ =
+      metrics_.GetCounter("serve.requests.fallback_served");
+  obs::Counter* degraded_answers_ =
+      metrics_.GetCounter("serve.requests.degraded_answers");
+  obs::Counter* retries_ = metrics_.GetCounter("serve.requests.retries");
+  obs::Counter* root_spans_ = metrics_.GetCounter("serve.spans.root");
   /// Per-tier admission counters, indexed by Priority.
   std::array<obs::Counter*, kNumPriorities> tier_issued_{};
   std::array<obs::Counter*, kNumPriorities> tier_admitted_{};
   std::array<obs::Counter*, kNumPriorities> tier_shed_{};
   std::array<obs::Counter*, kNumPriorities> tier_not_found_{};
-  obs::Histogram* request_latency_ = nullptr;
-  obs::Histogram* queue_wait_ = nullptr;
-  /// Registry values at construction; subtracted so ServingCounters
-  /// reads as this frontend's own traffic.
-  ServingCounters base_;
+  obs::Histogram* request_latency_ =
+      metrics_.GetHistogram("serve.request.latency_ns");
+  obs::Histogram* queue_wait_ = metrics_.GetHistogram("serve.queue.wait_ns");
 
   /// Brownout admission policy (reads options_.brownout + health).
   DegradationPolicy policy_;

@@ -25,11 +25,7 @@ const char* HealthStateName(HealthState s) {
   return "?";
 }
 
-HealthModel::HealthModel(Options options)
-    : options_(options),
-      registry_(options.registry != nullptr ? options.registry
-                                            : &obs::MetricsRegistry::Default()),
-      transitions_counter_(registry_->GetCounter("health.transitions")) {}
+HealthModel::HealthModel(Options options) : options_(options) {}
 
 uint64_t HealthModel::Register(const std::string& subsystem,
                                const std::string& source, SignalFn fn) {
@@ -137,10 +133,11 @@ void HealthModel::PublishGaugesLocked() {
     w = std::max(w, e.state);
     overall = std::max(overall, e.state);
   }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   for (const auto& [name, state] : worst) {
-    registry_->GetGauge("health." + name)->Set(static_cast<int64_t>(state));
+    registry.GetGauge("health." + name)->Set(static_cast<int64_t>(state));
   }
-  registry_->GetGauge("health.overall")->Set(static_cast<int64_t>(overall));
+  registry.GetGauge("health.overall")->Set(static_cast<int64_t>(overall));
 }
 
 HealthState HealthModel::StateOf(const std::string& subsystem) const {

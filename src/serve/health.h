@@ -51,7 +51,7 @@ struct HealthSample {
 /// registrant (it lives in System, registrants are created after and
 /// destroyed before it).
 ///
-/// Exposed as registry gauges `health.<subsystem>` (0/1/2) and
+/// Exposed as process-registry gauges `health.<subsystem>` (0/1/2) and
 /// `health.overall`, counter `health.transitions`, and as JSON via
 /// `ToJson()` / `System::HealthJson()`.
 class HealthModel {
@@ -60,9 +60,6 @@ class HealthModel {
     /// Consecutive improved samples needed before a source's state is
     /// promoted (toward healthy). Demotions are immediate.
     uint32_t promote_after = 2;
-    /// Registry the health gauges live in; defaults to the process-wide
-    /// one. Must outlive the model.
-    obs::MetricsRegistry* registry = nullptr;
   };
 
   /// A signal source. Must be cheap (runs on the watchdog cadence),
@@ -135,8 +132,8 @@ class HealthModel {
   void PublishGaugesLocked();
 
   Options options_;
-  obs::MetricsRegistry* registry_;
-  obs::Counter* transitions_counter_;
+  obs::Counter* transitions_counter_ =
+      obs::MetricsRegistry::Default().GetCounter("health.transitions");
 
   mutable std::mutex mutex_;
   std::condition_variable idle_cv_;

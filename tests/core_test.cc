@@ -1,5 +1,7 @@
+#include <chrono>
 #include <filesystem>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "corpus/generator.h"
 #include "ie/pipeline.h"
 #include "ie/standard.h"
+#include "lang/executor.h"
 #include "serve/frontend.h"
 
 namespace structura::core {
@@ -562,6 +565,119 @@ TEST_F(SystemFixture, ExtractorFaultsBelowBudgetDoNotQuarantine) {
   EXPECT_GT(temp_rows, 0u);
   std::string report = sys->StatusReport();
   EXPECT_NE(report.find("temp_sentence(faults=1)"), std::string::npos);
+}
+
+/// EXTRACT over every extractor registered in `ctx`, as a plan and as
+/// an SDL program.
+lang::PlanNode ExtractEveryExtractor(const lang::ExecutionContext& ctx) {
+  lang::PlanNode plan;
+  plan.type = lang::PlanNode::Type::kExtract;
+  for (const auto& [name, extractor] : ctx.extractors) {
+    plan.extractors.push_back(name);
+  }
+  plan.children.push_back(std::make_unique<lang::PlanNode>());
+  plan.children.back()->type = lang::PlanNode::Type::kScanDocs;
+  return plan;
+}
+
+std::string ExtractEveryExtractorSdl(const lang::ExecutionContext& ctx,
+                                     const std::string& view) {
+  std::string names;
+  for (const auto& [name, extractor] : ctx.extractors) {
+    names += (names.empty() ? "" : ", ") + name;
+  }
+  return "CREATE VIEW " + view + " AS EXTRACT " + names + " FROM pages;";
+}
+
+TEST_F(SystemFixture, IeHealthReadsOnlyThisSystemsQuarantine) {
+  // Per-request copies of the execution context (the chaos harness
+  // pattern) fault and quarantine on ledgers of their own: the System
+  // keeps none quarantined, and its `ie` signal stays off critical.
+  lang::PlanNode plan = ExtractEveryExtractor(sys->context());
+  size_t quarantined_in_copies = 0;
+  {
+    ScopedFailpoint fp("ie.extract",
+                       FailpointRegistry::Spec::WithProbability(0.05, 12));
+    for (int request = 0; request < 20; ++request) {
+      lang::ExecutionContext copy = sys->context();
+      ASSERT_TRUE(lang::ExecutePlan(plan, &copy).ok());
+      quarantined_in_copies += copy.extractor_faults.Read().quarantined.size();
+    }
+  }
+  ASSERT_GT(quarantined_in_copies, 0u);  // the copies did quarantine
+  sys->health().Evaluate();
+  EXPECT_TRUE(sys->QuarantinedExtractors().empty());
+  EXPECT_NE(sys->health().StateOf("ie"), serve::HealthState::kCritical)
+      << sys->HealthJson();
+
+  // The System's own EXTRACT does count: one quarantined extractor
+  // degrades `ie`...
+  {
+    ScopedFailpoint fp("ie.extract.temp_sentence",
+                       FailpointRegistry::Spec::Always());
+    ASSERT_TRUE(sys->RunProgram("CREATE VIEW temps AS EXTRACT infobox, "
+                                "temp_sentence FROM pages;")
+                    .ok());
+  }
+  sys->health().Evaluate();
+  EXPECT_EQ(sys->QuarantinedExtractors(),
+            std::set<std::string>{"temp_sentence"});
+  EXPECT_EQ(sys->health().StateOf("ie"), serve::HealthState::kDegraded)
+      << sys->HealthJson();
+
+  // ...and quarantining every extractor makes it critical.
+  {
+    ScopedFailpoint fp("ie.extract", FailpointRegistry::Spec::Always());
+    ASSERT_TRUE(
+        sys->RunProgram(ExtractEveryExtractorSdl(sys->context(), "all_facts"))
+            .ok());
+  }
+  sys->health().Evaluate();
+  EXPECT_EQ(sys->QuarantinedExtractors().size(),
+            sys->context().extractors.size());
+  EXPECT_EQ(sys->health().StateOf("ie"), serve::HealthState::kCritical);
+  EXPECT_EQ(sys->health().ReasonOf("ie"), "all extractors quarantined");
+}
+
+TEST_F(SystemFixture, WatchdogSeesIeCriticalWhileOwnExtractFaults) {
+  // The watchdog evaluates `ie` while morsel-parallel EXTRACT workers
+  // fault and quarantine on the System's ledger, and StatusReport reads
+  // it too: one lock, no race (run under TSan by scripts/check.sh).
+  System::Options options;
+  options.query_parallelism = 2;
+  auto created = System::Create(options);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<System> parallel = std::move(created).value();
+  parallel->RegisterStandardOperators();
+  ASSERT_TRUE(parallel->IngestCrawl(docs).ok());
+  System::WatchdogOptions wopts;
+  wopts.interval_ms = 1;
+  wopts.auto_scrub = false;
+  wopts.auto_heal = false;
+  wopts.auto_incident = false;
+  parallel->StartWatchdog(wopts);
+  {
+    ScopedFailpoint fp("ie.extract",
+                       FailpointRegistry::Spec::WithProbability(0.5, 7));
+    for (int round = 0; round < 3; ++round) {
+      ASSERT_TRUE(parallel
+                      ->RunProgram(ExtractEveryExtractorSdl(
+                          parallel->context(), "v" + std::to_string(round)))
+                      .ok());
+      EXPECT_NE(parallel->StatusReport().find("degraded operators:"),
+                std::string::npos);
+    }
+  }
+  for (int i = 0; i < 5000 && parallel->health().StateOf("ie") !=
+                                  serve::HealthState::kCritical;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  parallel->StopWatchdog();
+  EXPECT_EQ(parallel->QuarantinedExtractors().size(),
+            parallel->context().extractors.size());
+  EXPECT_EQ(parallel->health().StateOf("ie"), serve::HealthState::kCritical)
+      << parallel->HealthJson();
 }
 
 TEST_F(SystemFixture, IncrementalExtractionDoesLessWork) {

@@ -7,11 +7,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/integrity.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/system.h"
@@ -141,6 +144,81 @@ TEST(MetricsTest, InternNameIsStable) {
   EXPECT_STRNE(obs::InternName("test.interned.other"), a);
 }
 
+uint64_t CounterIn(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& [n, v] : snap.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+TEST(MetricsTest, OwnedRegistriesSumInAndFoldOnDestruction) {
+  MetricsRegistry parent;
+  parent.GetCounter("test.requests")->Add(1);
+  auto a = std::make_unique<MetricsRegistry>(&parent);
+  MetricsRegistry b(&parent);
+  a->GetCounter("test.requests")->Add(10);
+  b.GetCounter("test.requests")->Add(100);
+  a->GetGauge("test.bytes")->Set(7);
+  b.GetGauge("test.bytes")->Set(5);
+  a->GetHistogram("test.latency_ns")->Record(3);
+  b.GetHistogram("test.latency_ns")->Record(1000);
+
+  // Counters and gauges add by name, histograms bucket by bucket; each
+  // owner still reads back only its own numbers.
+  obs::MetricsSnapshot live = parent.Snapshot();
+  EXPECT_EQ(CounterIn(live, "test.requests"), 111u);
+  ASSERT_EQ(live.gauges.size(), 1u);
+  EXPECT_EQ(live.gauges[0].second, 12);
+  ASSERT_EQ(live.histograms.size(), 1u);
+  EXPECT_EQ(live.histograms[0].count, 2u);
+  EXPECT_EQ(live.histograms[0].sum, 1003u);
+  EXPECT_EQ(live.histograms[0].buckets[2], 1u);
+  EXPECT_EQ(live.histograms[0].buckets[10], 1u);
+  EXPECT_EQ(a->GetCounter("test.requests")->Value(), 10u);
+
+  // Destroying an owner keeps its counts and histogram samples; its
+  // gauge reading goes with it, its gauge name stays.
+  a.reset();
+  obs::MetricsSnapshot after = parent.Snapshot();
+  EXPECT_EQ(CounterIn(after, "test.requests"), 111u);
+  ASSERT_EQ(after.gauges.size(), 1u);
+  EXPECT_EQ(after.gauges[0].first, "test.bytes");
+  EXPECT_EQ(after.gauges[0].second, 5);
+  ASSERT_EQ(after.histograms.size(), 1u);
+  EXPECT_EQ(after.histograms[0].count, 2u);
+  EXPECT_EQ(after.histograms[0].sum, 1003u);
+}
+
+// Owners come and go while their counters move and the parent is
+// snapshotted: the parent's total never drops and ends exact. Run under
+// TSan in the sanitizer CI leg.
+TEST(MetricsHammerTest, OwnedRegistriesFoldWithoutLosingCounts) {
+  MetricsRegistry parent;
+  constexpr int kOwners = 40;
+  constexpr int kOps = 2000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      uint64_t now = CounterIn(parent.Snapshot(), "test.owned");
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  for (int owner = 0; owner < kOwners; ++owner) {
+    MetricsRegistry owned(&parent);
+    obs::Counter* c = owned.GetCounter("test.owned");
+    std::thread writer([c] {
+      for (int i = 0; i < kOps; ++i) c->Increment();
+    });
+    writer.join();
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(CounterIn(parent.Snapshot(), "test.owned"),
+            uint64_t{kOwners} * kOps);
+}
+
 // 16 threads hammer one counter + one histogram concurrently; totals
 // must be exact. Run under TSan in the sanitizer CI leg.
 TEST(MetricsHammerTest, ConcurrentCountersAreExact) {
@@ -228,6 +306,105 @@ TEST(ExpositionTest, SystemEndpointsAgree) {
   std::string json = core::System::MetricsJson();
   EXPECT_NE(prom.find("test_system_endpoint 5"), std::string::npos);
   EXPECT_NE(json.find("\"test.system.endpoint\":5"), std::string::npos);
+}
+
+/// "<field>=<value>" pairs of one pass ("recovery " or "; last scrub ")
+/// of the StatusReport line "integrity: recovery ...; last scrub ...".
+std::map<std::string, uint64_t> IntegrityLine(const std::string& report,
+                                              const std::string& pass) {
+  std::map<std::string, uint64_t> fields;
+  size_t line = report.find("integrity: ");
+  if (line == std::string::npos) return fields;
+  size_t start = report.find(pass, line);
+  if (start == std::string::npos) return fields;
+  start += pass.size();
+  size_t end = report.find_first_of(";\n", start);
+  std::string text = report.substr(start, end - start);
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t space = text.find(' ', pos);
+    if (space == std::string::npos) space = text.size();
+    std::string pair = text.substr(pos, space - pos);
+    size_t eq = pair.find('=');
+    if (eq != std::string::npos) {
+      fields[pair.substr(0, eq)] = std::stoull(pair.substr(eq + 1));
+    }
+    pos = space + 1;
+  }
+  return fields;
+}
+
+/// Value of metric `name` in `text` after `prefix` + name + `sep`, or
+/// -1 when absent.
+int64_t ExposedValue(const std::string& text, const std::string& prefix,
+                     const std::string& name, const std::string& sep) {
+  size_t at = text.find(prefix + name + sep);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + prefix.size() + name.size() + sep.size()));
+}
+
+TEST(ExpositionTest, IntegrityGaugesMatchStatusReport) {
+  std::string workspace =
+      (std::filesystem::temp_directory_path() / "structura_obs_integrity")
+          .string();
+  std::filesystem::remove_all(workspace);
+  core::System::Options options;
+  options.workspace = workspace;
+  {
+    auto sys = core::System::Create(options);
+    ASSERT_TRUE(sys.ok());
+    text::DocumentCollection docs;
+    text::Document doc;
+    doc.id = 1;
+    doc.title = "Page";
+    doc.text = "Madison has a population of 233,209.";
+    docs.docs.push_back(doc);
+    ASSERT_TRUE((*sys)->IngestCrawl(docs).ok());
+    rdbms::TableSchema schema;
+    schema.table_name = "kv";
+    schema.columns = {{"k", rdbms::ValueType::kString}};
+    ASSERT_TRUE((*sys)->database()->CreateTable(schema).ok());
+    auto txn = (*sys)->database()->Begin();
+    ASSERT_TRUE(txn->Insert("kv", {rdbms::Value::Str("k")}).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  {
+    // A torn WAL tail: reopening truncates and reports it, so the status
+    // report prints its integrity line from the start.
+    std::ofstream wal(workspace + "/db/wal.log",
+                      std::ios::binary | std::ios::app);
+    wal << "torn";
+  }
+  auto sys = core::System::Create(options);
+  ASSERT_TRUE(sys.ok());
+
+  // Every IntegrityCounters field, in StatusReport's integrity line and
+  // as a gauge in both scrape formats, with one value.
+  auto expect_parity = [&](const std::string& pass,
+                           const std::string& line_pass) {
+    std::string report = (*sys)->StatusReport();
+    std::string json = core::System::MetricsJson();
+    std::string prom = core::System::MetricsPrometheus();
+    std::map<std::string, uint64_t> line = IntegrityLine(report, line_pass);
+    ASSERT_EQ(line.size(), std::size(kIntegrityFields)) << report;
+    for (const IntegrityField& f : kIntegrityFields) {
+      std::string name = "integrity." + pass + "." + f.name;
+      ASSERT_EQ(line.count(f.name), 1u) << f.name << "\n" << report;
+      auto value = static_cast<int64_t>(line[f.name]);
+      EXPECT_EQ(ExposedValue(json, "\"", name, "\":"), value) << name;
+      std::string prom_name = "integrity_" + pass + "_" + f.name;
+      EXPECT_EQ(ExposedValue(prom, "\n", prom_name, " "), value) << name;
+    }
+  };
+  expect_parity("recovery", "recovery ");
+  EXPECT_GT(IntegrityLine((*sys)->StatusReport(), "recovery ")
+                .at("torn_tail_bytes"),
+            0u);
+  ASSERT_TRUE((*sys)->ScrubStorage().ok());
+  expect_parity("recovery", "recovery ");
+  expect_parity("scrub", "; last scrub ");
+  sys->reset();
+  std::filesystem::remove_all(workspace);
 }
 
 // --- Tracing -------------------------------------------------------------

@@ -29,6 +29,7 @@
 #include "corpus/generator.h"
 #include "lang/executor.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "rdbms/database.h"
 #include "serve/frontend.h"
 #include "test_json_util.h"
@@ -436,6 +437,55 @@ TEST(FrontendTest, DestructionDrainsQueuedRequests) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
     EXPECT_TRUE(f.get().ok());
   }
+}
+
+uint64_t ProcessCounter(const std::string& name) {
+  obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
+  for (const auto& [n, v] : snap.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+uint64_t ProcessHistogramCount(const std::string& name) {
+  obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
+  for (const auto& h : snap.histograms) {
+    if (h.name == name) return h.count;
+  }
+  return 0;
+}
+
+TEST(FrontendTest, CountersAreOwnedPerFrontendAndFoldIntoDefault) {
+  // Each frontend counts its own traffic, whatever else the process
+  // serves; the process registry sums live frontends in and keeps a
+  // destroyed one's counts.
+  Frontend::Options opts;
+  opts.num_threads = 1;
+  auto ok = [](const RequestContext&) { return Status::OK(); };
+  Frontend a(opts);
+  a.RegisterOperator("ok", ok);
+  const uint64_t issued_before = ProcessCounter("serve.requests.issued");
+  const uint64_t latency_before =
+      ProcessHistogramCount("serve.request.latency_ns");
+  {
+    Frontend b(opts);
+    b.RegisterOperator("ok", ok);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(b.Call("ok", RequestContext{}).ok());
+    }
+    b.WaitIdle();  // latency is recorded after each future resolves
+    EXPECT_EQ(a.Counters().issued, 0u);
+    EXPECT_EQ(a.Counters().ok, 0u);
+    EXPECT_EQ(b.Counters().issued, 5u);
+    EXPECT_EQ(b.Counters().ok, 5u);
+    EXPECT_EQ(ProcessCounter("serve.requests.issued"), issued_before + 5);
+    EXPECT_EQ(ProcessHistogramCount("serve.request.latency_ns"),
+              latency_before + 5);
+  }
+  EXPECT_EQ(ProcessCounter("serve.requests.issued"), issued_before + 5);
+  EXPECT_EQ(ProcessHistogramCount("serve.request.latency_ns"),
+            latency_before + 5);
+  EXPECT_EQ(a.Counters().issued, 0u);
 }
 
 // ------------------------------------------------------- Health model
