@@ -5,7 +5,9 @@
 // must sit within a few percent of the recorder off. This bench
 // measures both directly: a tight journal-append loop (enabled and
 // kill-switched), a ChargeCost loop, and a trivial-operator frontend
-// driven at full speed with the recorder+accounting on vs off.
+// driven at full speed in alternating recorder+accounting on and off
+// rounds; the ratio reported is the median of the per-round ratios,
+// with their min and max.
 //
 // Usage: bench_e21_flight_recorder [out.json]
 //   (default output path: BENCH_e21.json in the working directory;
@@ -68,9 +70,21 @@ double ChargeCostNs(size_t ops) {
   return Median(runs);
 }
 
+/// Recorder-on and recorder-off serve throughput, round by round.
+struct ServeRounds {
+  std::vector<double> on, off, ratio;  // ops/s, ops/s, on/off
+};
+
+void SetRecorder(bool on) {
+  obs::SetEventJournalEnabled(on);
+  obs::SetCostAccountingEnabled(on);
+}
+
 /// End-to-end frontend throughput over a trivial operator, submitted in
-/// batches so the worker pool stays saturated.
-double ServeOpsPerSec(size_t total_ops) {
+/// batches so the worker pool stays saturated. On and off rounds
+/// alternate on one frontend (and swap order every round), so host drift
+/// lands on both sides of each round's ratio alike.
+ServeRounds ServeOnOff(size_t ops_per_round, int rounds) {
   serve::Frontend::Options options;
   options.num_threads = 2;
   options.max_queue_depth = 4096;
@@ -84,12 +98,11 @@ double ServeOpsPerSec(size_t total_ops) {
   constexpr size_t kBatch = 512;
   std::vector<std::future<Status>> batch;
   batch.reserve(kBatch);
-  std::vector<double> runs;
-  for (int r = 0; r < kRepeats; ++r) {
+  auto ops_per_sec = [&](bool recorder_on) {
+    SetRecorder(recorder_on);
     double start = NowNs();
-    size_t done = 0;
-    while (done < total_ops) {
-      size_t n = std::min(kBatch, total_ops - done);
+    for (size_t done = 0; done < ops_per_round;) {
+      size_t n = std::min(kBatch, ops_per_round - done);
       batch.clear();
       for (size_t i = 0; i < n; ++i) {
         batch.push_back(fe.Submit("noop", serve::RequestContext{}));
@@ -97,10 +110,24 @@ double ServeOpsPerSec(size_t total_ops) {
       for (std::future<Status>& f : batch) (void)f.get();
       done += n;
     }
-    runs.push_back(static_cast<double>(total_ops) /
-                   ((NowNs() - start) / 1e9));
+    return static_cast<double>(ops_per_round) / ((NowNs() - start) / 1e9);
+  };
+  ServeRounds out;
+  for (int r = 0; r < rounds; ++r) {
+    double on, off;
+    if (r % 2 == 0) {
+      on = ops_per_sec(true);
+      off = ops_per_sec(false);
+    } else {
+      off = ops_per_sec(false);
+      on = ops_per_sec(true);
+    }
+    out.on.push_back(on);
+    out.off.push_back(off);
+    out.ratio.push_back(on / off);
   }
-  return Median(runs);
+  SetRecorder(true);
+  return out;
 }
 
 }  // namespace
@@ -110,7 +137,8 @@ int main(int argc, char** argv) {
   using structura::bench::BenchResultWriter;
 
   constexpr size_t kEventOps = 1'000'000;
-  constexpr size_t kServeOps = 20'000;
+  constexpr size_t kServeOpsPerRound = 20'000;
+  constexpr int kServeRounds = 31;
 
   double record_ns = structura::EventRecordNs(kEventOps);
   structura::obs::SetEventJournalEnabled(false);
@@ -118,20 +146,22 @@ int main(int argc, char** argv) {
   structura::obs::SetEventJournalEnabled(true);
   double charge_ns = structura::ChargeCostNs(kEventOps);
 
-  double serve_on = structura::ServeOpsPerSec(kServeOps);
-  structura::obs::SetEventJournalEnabled(false);
-  structura::obs::SetCostAccountingEnabled(false);
-  double serve_off = structura::ServeOpsPerSec(kServeOps);
-  structura::obs::SetEventJournalEnabled(true);
-  structura::obs::SetCostAccountingEnabled(true);
-  double ratio = serve_off > 0 ? serve_on / serve_off : 0;
+  structura::ServeRounds serve =
+      structura::ServeOnOff(kServeOpsPerRound, kServeRounds);
+  double serve_on = structura::Median(serve.on);
+  double serve_off = structura::Median(serve.off);
+  double ratio = structura::Median(serve.ratio);
+  double ratio_min = *std::min_element(serve.ratio.begin(), serve.ratio.end());
+  double ratio_max = *std::max_element(serve.ratio.begin(), serve.ratio.end());
 
   std::printf("event_record            %8.1f ns/op\n", record_ns);
   std::printf("event_record_disabled   %8.1f ns/op\n", record_off_ns);
   std::printf("charge_cost             %8.1f ns/op\n", charge_ns);
-  std::printf("serve_recorder_on       %10.0f ops/s\n", serve_on);
+  std::printf("serve_recorder_on       %10.0f ops/s (median of %d rounds)\n",
+              serve_on, kServeRounds);
   std::printf("serve_recorder_off      %10.0f ops/s\n", serve_off);
-  std::printf("serve_on_off_ratio      %8.3f\n", ratio);
+  std::printf("serve_on_off_ratio      %8.3f (median; rounds %.3f-%.3f)\n",
+              ratio, ratio_min, ratio_max);
 
   BenchResultWriter writer("e21_flight_recorder", "BENCH_e21.json");
   writer.Add("event_record", record_ns, "ns/op");
@@ -140,5 +170,7 @@ int main(int argc, char** argv) {
   writer.Add("serve_recorder_on", serve_on, "ops/s");
   writer.Add("serve_recorder_off", serve_off, "ops/s");
   writer.Add("serve_on_off_ratio", ratio, "ratio");
+  writer.Add("serve_on_off_ratio_min", ratio_min, "ratio");
+  writer.Add("serve_on_off_ratio_max", ratio_max, "ratio");
   return writer.Write(argc > 1 ? argv[1] : "") ? 0 : 1;
 }

@@ -65,6 +65,13 @@ STRUCTURA_PARALLEL_ITERS="${STRUCTURA_PARALLEL_ITERS:-1000}" \
 STRUCTURA_CACHE_ITERS="${STRUCTURA_CACHE_ITERS:-1000}" \
   ctest --test-dir "$repo_root/build" --output-on-failure -L parallel
 
+echo "==> entity-resolution oracle sweep"
+# Seeded sweep: the exact Levenshtein candidate generator against the
+# exhaustive path (same merges, score bits, clusters), labelled
+# `oracle`. Failures print the STRUCTURA_ORACLE_SEED to replay.
+STRUCTURA_ORACLE_ITERS="${STRUCTURA_ORACLE_ITERS:-2000}" \
+  ctest --test-dir "$repo_root/build" --output-on-failure -L oracle
+
 echo "==> address+undefined sanitizer build + tests"
 run_suite "$repo_root/build-asan" -DSTRUCTURA_SANITIZE=address,undefined
 

@@ -1,12 +1,44 @@
 #include "ii/matcher.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/strings.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 
 namespace structura::ii {
+
+CandidatePairs SimilarityMatcher::Candidates(
+    const std::vector<MentionRecord>& mentions, double /*threshold*/) const {
+  std::unordered_map<std::string, std::vector<size_t>> blocks;
+  for (size_t i = 0; i < mentions.size(); ++i) {
+    for (const std::string& tok :
+         NameMatcher::NormalizeTokens(mentions[i].surface)) {
+      blocks[tok].push_back(i);
+      // Words also block on their initial, so "d" (from "D.") meets the
+      // full names starting with that letter.
+      if (tok.size() > 1) blocks[std::string(1, tok[0])].push_back(i);
+    }
+  }
+  CandidatePairs pairs;
+  for (const auto& [key, members] : blocks) {
+    // Oversized blocks (e.g. an initial shared by thousands) are capped:
+    // classic blocking hygiene to avoid quadratic blowup on stop tokens.
+    if (members.size() > 512) continue;
+    // Members ascend; a mention listed twice (a word and its own initial
+    // token) does not pair with itself.
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = i + 1; j < members.size(); ++j) {
+        if (members[i] != members[j]) {
+          pairs.emplace_back(members[i], members[j]);
+        }
+      }
+    }
+  }
+  return pairs;
+}
 
 double JaroWinklerMatcher::Score(const MentionRecord& a,
                                  const MentionRecord& b) const {
@@ -16,6 +48,69 @@ double JaroWinklerMatcher::Score(const MentionRecord& a,
 double LevenshteinMatcher::Score(const MentionRecord& a,
                                  const MentionRecord& b) const {
   return text::LevenshteinSimilarity(a.surface, b.surface);
+}
+
+CandidatePairs LevenshteinMatcher::Candidates(
+    const std::vector<MentionRecord>& mentions, double threshold) const {
+  // Mentions grouped by surface, members ascending.
+  struct Group {
+    size_t length;
+    std::vector<size_t> members;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<std::string_view, size_t> group_of;
+  for (size_t i = 0; i < mentions.size(); ++i) {
+    const std::string& s = mentions[i].surface;
+    auto [it, fresh] = group_of.try_emplace(s, groups.size());
+    if (fresh) groups.push_back(Group{s.size(), {}});
+    groups[it->second].members.push_back(i);
+  }
+
+  CandidatePairs pairs;
+  // Identical surfaces score 1.0.
+  if (1.0 >= threshold) {
+    for (const Group& g : groups) {
+      for (size_t i = 0; i < g.members.size(); ++i) {
+        for (size_t j = i + 1; j < g.members.size(); ++j) {
+          pairs.emplace_back(g.members[i], g.members[j]);
+        }
+      }
+    }
+  }
+  auto pair_groups = [&pairs](const Group& x, const Group& y) {
+    for (size_t a : x.members) {
+      for (size_t b : y.members) {
+        pairs.emplace_back(std::min(a, b), std::max(a, b));
+      }
+    }
+  };
+
+  // Distinct surfaces of lengths m <= n are at least max(1, n - m) edits
+  // apart, so their score is at most LevenshteinScore(max(1, n - m), n).
+  std::sort(groups.begin(), groups.end(),
+            [](const Group& x, const Group& y) { return x.length < y.length; });
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const size_t m = groups[i].length;
+    auto longer = std::partition_point(
+        groups.begin() + static_cast<long>(i) + 1, groups.end(),
+        [m](const Group& g) { return g.length == m; });
+    const size_t same_end = static_cast<size_t>(longer - groups.begin());
+    // Equal lengths get their own test: the bound at gap 0 (one edit) is
+    // below the bound at gap 1, so the scan below cannot cover them.
+    if (same_end > i + 1 && text::LevenshteinScore(1, m) >= threshold) {
+      for (size_t j = i + 1; j < same_end; ++j) {
+        pair_groups(groups[i], groups[j]);
+      }
+    }
+    // From gap 1 on, the bound falls as the longer length grows: stop at
+    // the first length that cannot reach the threshold.
+    for (size_t j = same_end; j < groups.size(); ++j) {
+      const size_t n = groups[j].length;
+      if (!(text::LevenshteinScore(n - m, n) >= threshold)) break;
+      pair_groups(groups[i], groups[j]);
+    }
+  }
+  return pairs;
 }
 
 std::vector<std::string> NameMatcher::NormalizeTokens(

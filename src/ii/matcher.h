@@ -1,9 +1,11 @@
 #ifndef STRUCTURA_II_MATCHER_H_
 #define STRUCTURA_II_MATCHER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace structura::ii {
@@ -17,13 +19,26 @@ struct MentionRecord {
   std::string context;      // optional: nearby text, for context-aware scores
 };
 
-/// Pairwise similarity in [0, 1] between two mentions.
+/// Mention-index pairs, each (a, b) with a < b.
+using CandidatePairs = std::vector<std::pair<size_t, size_t>>;
+
+/// Pairwise similarity in [0, 1] between two mentions, plus the choice of
+/// which pairs are worth scoring — the matcher owns the score, so only it
+/// knows which pairs cannot reach a threshold.
 class SimilarityMatcher {
  public:
   virtual ~SimilarityMatcher() = default;
   virtual std::string name() const = 0;
   virtual double Score(const MentionRecord& a,
                        const MentionRecord& b) const = 0;
+
+  /// The pairs ResolveEntities scores at `threshold`, in any order,
+  /// repeats allowed. The default is capped token blocking: mentions
+  /// sharing a normalized token, or a token's initial, except in blocks
+  /// of more than 512 members. It is lossy — a pair that shares only
+  /// oversized blocks is never scored, whatever its score.
+  virtual CandidatePairs Candidates(const std::vector<MentionRecord>& mentions,
+                                    double threshold) const;
 };
 
 /// Jaro-Winkler over raw surfaces.
@@ -40,6 +55,13 @@ class LevenshteinMatcher : public SimilarityMatcher {
   std::string name() const override { return "levenshtein"; }
   double Score(const MentionRecord& a,
                const MentionRecord& b) const override;
+
+  /// Exact: identical surfaces pair by hash, and distinct surfaces pair
+  /// only while their lengths allow a score >= `threshold` (see
+  /// text::LevenshteinScore). Every pair left out provably scores below
+  /// `threshold`, so the merges equal those of scoring every pair.
+  CandidatePairs Candidates(const std::vector<MentionRecord>& mentions,
+                            double threshold) const override;
 };
 
 /// Name-aware matcher handling the heterogeneity the corpus (and real

@@ -1,75 +1,41 @@
 #include "ii/resolution.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
 
 #include "ii/union_find.h"
 
 namespace structura::ii {
-namespace {
-
-/// Candidate pairs that share at least one normalized token (multi-key
-/// token blocking). Deduplicated, a < b.
-std::vector<std::pair<size_t, size_t>> BlockedPairs(
-    const std::vector<MentionRecord>& mentions) {
-  std::unordered_map<std::string, std::vector<size_t>> blocks;
-  for (size_t i = 0; i < mentions.size(); ++i) {
-    for (const std::string& tok :
-         NameMatcher::NormalizeTokens(mentions[i].surface)) {
-      // Single letters ("d" from "D.") block on the initial so they meet
-      // full names starting with the same letter.
-      std::string key = tok.size() == 1 ? tok : tok;
-      blocks[key].push_back(i);
-      if (tok.size() > 1) blocks[std::string(1, tok[0])].push_back(i);
-    }
-  }
-  std::set<std::pair<size_t, size_t>> pairs;
-  for (const auto& [key, members] : blocks) {
-    // Oversized blocks (e.g. an initial shared by thousands) are capped:
-    // classic blocking hygiene to avoid quadratic blowup on stop tokens.
-    if (members.size() > 512) continue;
-    for (size_t i = 0; i < members.size(); ++i) {
-      for (size_t j = i + 1; j < members.size(); ++j) {
-        size_t a = members[i], b = members[j];
-        if (a == b) continue;
-        if (a > b) std::swap(a, b);
-        pairs.emplace(a, b);
-      }
-    }
-  }
-  return {pairs.begin(), pairs.end()};
-}
-
-}  // namespace
 
 ResolutionResult ResolveEntities(const std::vector<MentionRecord>& mentions,
                                  const ResolutionOptions& options) {
   ResolutionResult result;
-  result.cluster_of.resize(mentions.size());
   UnionFind uf(mentions.size());
-
-  std::vector<std::pair<size_t, size_t>> candidates;
-  if (options.use_blocking) {
-    candidates = BlockedPairs(mentions);
-  } else {
-    candidates.reserve(mentions.size() * (mentions.size() - 1) / 2);
-    for (size_t i = 0; i < mentions.size(); ++i) {
-      for (size_t j = i + 1; j < mentions.size(); ++j) {
-        candidates.emplace_back(i, j);
-      }
-    }
-  }
-
-  for (const auto& [a, b] : candidates) {
-    double score = options.matcher->Score(mentions[a], mentions[b]);
+  auto score = [&](size_t a, size_t b) {
+    double s = options.matcher->Score(mentions[a], mentions[b]);
     ++result.pairs_scored;
-    if (score >= options.threshold) {
+    if (s >= options.threshold) {
       uf.Union(a, b);
-      result.merged_pairs.push_back(ScoredPair{a, b, score});
+      result.merged_pairs.push_back(ScoredPair{a, b, s});
+    }
+  };
+
+  if (options.use_blocking) {
+    // Ascending (a, b), the order the exhaustive loop visits: the same
+    // merges then union in the same order, so a generator that keeps
+    // every merging pair reproduces merged_pairs and cluster_of exactly.
+    CandidatePairs candidates =
+        options.matcher->Candidates(mentions, options.threshold);
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (const auto& [a, b] : candidates) score(a, b);
+  } else {
+    for (size_t a = 0; a < mentions.size(); ++a) {
+      for (size_t b = a + 1; b < mentions.size(); ++b) score(a, b);
     }
   }
 
+  result.cluster_of.resize(mentions.size());
   for (size_t i = 0; i < mentions.size(); ++i) {
     result.cluster_of[i] = uf.Find(i);
   }

@@ -9,9 +9,11 @@
 
 namespace structura::ii {
 
-/// Entity-resolution configuration. Blocking restricts pairwise scoring
-/// to mentions sharing at least one normalized token; without it every
-/// pair is scored (quadratic — kept for the ablation benchmark).
+/// Entity-resolution configuration. With `use_blocking` only the
+/// matcher's candidate pairs are scored (SimilarityMatcher::Candidates:
+/// exact for levenshtein, capped token blocking otherwise); without it
+/// every pair is scored — quadratic, and the reference the tests compare
+/// the candidate generators against.
 struct ResolutionOptions {
   const SimilarityMatcher* matcher = nullptr;  // required
   double threshold = 0.8;
@@ -35,8 +37,8 @@ struct ResolutionResult {
   std::vector<ScoredPair> merged_pairs;
 };
 
-/// Clusters `mentions` into entities: union-find over above-threshold
-/// pairs from the (blocked) candidate set.
+/// Clusters `mentions` into entities: union-find over the pairs scoring
+/// >= threshold, scored in ascending (a, b) order.
 ResolutionResult ResolveEntities(const std::vector<MentionRecord>& mentions,
                                  const ResolutionOptions& options);
 

@@ -1,8 +1,8 @@
 #include "lang/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/strings.h"
@@ -173,17 +173,21 @@ Result<query::Relation> ExecuteResolve(const PlanNode& plan,
                                    " in RESOLVE input");
   }
 
-  // Distinct surfaces, in first-seen order.
+  // Distinct surfaces, in first-seen order; mention_of[r] is row r's.
   std::vector<ii::MentionRecord> mentions;
-  std::map<std::string, size_t> surface_index;
+  std::vector<size_t> mention_of;
+  mention_of.reserve(input.size());
+  std::unordered_map<std::string, size_t> surface_index;
   for (const query::Row& row : input.rows()) {
-    const std::string s = row[static_cast<size_t>(col)].ToString();
-    if (surface_index.count(s) > 0) continue;
-    surface_index[s] = mentions.size();
-    ii::MentionRecord m;
-    m.id = mentions.size();
-    m.surface = s;
-    mentions.push_back(std::move(m));
+    auto [it, fresh] = surface_index.try_emplace(
+        row[static_cast<size_t>(col)].ToString(), mentions.size());
+    if (fresh) {
+      ii::MentionRecord m;
+      m.id = mentions.size();
+      m.surface = it->first;
+      mentions.push_back(std::move(m));
+    }
+    mention_of.push_back(it->second);
   }
 
   ii::ResolutionOptions opts;
@@ -225,28 +229,26 @@ Result<query::Relation> ExecuteResolve(const PlanNode& plan,
     }
   }
 
-  // Canonical surface per cluster: the longest surface (most specific
-  // variant, e.g. "David Smith" over "D. Smith"); ties lexicographic.
-  std::map<size_t, std::string> canonical;
+  // Canonical surface per cluster, indexed by representative: the
+  // longest surface (most specific variant, e.g. "David Smith" over
+  // "D. Smith"); ties lexicographic.
+  std::vector<const std::string*> canonical(mentions.size(), nullptr);
   for (size_t i = 0; i < mentions.size(); ++i) {
-    size_t c = res.cluster_of[i];
-    auto it = canonical.find(c);
+    const std::string*& best = canonical[res.cluster_of[i]];
     const std::string& s = mentions[i].surface;
-    if (it == canonical.end() ||
-        s.size() > it->second.size() ||
-        (s.size() == it->second.size() && s < it->second)) {
-      canonical[c] = s;
+    if (best == nullptr || s.size() > best->size() ||
+        (s.size() == best->size() && s < *best)) {
+      best = &s;
     }
   }
 
   std::vector<std::string> out_cols = input.columns();
   out_cols.push_back("entity");
   query::Relation out(out_cols);
-  for (const query::Row& row : input.rows()) {
-    const std::string s = row[static_cast<size_t>(col)].ToString();
-    size_t cluster = res.cluster_of[surface_index[s]];
-    query::Row extended = row;
-    extended.push_back(query::Value::Str(canonical[cluster]));
+  for (size_t r = 0; r < input.size(); ++r) {
+    query::Row extended = input.rows()[r];
+    extended.push_back(
+        query::Value::Str(*canonical[res.cluster_of[mention_of[r]]]));
     STRUCTURA_RETURN_IF_ERROR(out.Append(std::move(extended)));
   }
   return out;

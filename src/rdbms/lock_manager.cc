@@ -97,6 +97,8 @@ bool LockManager::WouldDeadlock(TxnId start) const {
 Status LockManager::Acquire(TxnId txn, const std::string& resource,
                             LockMode mode) {
   std::unique_lock<std::mutex> lock(mutex_);
+  // Stays valid across released_.wait below: our own request keeps the
+  // queue non-empty, and only an empty queue is ever erased.
   Queue& q = queues_[resource];
 
   // Re-entrancy / upgrade handling.
@@ -137,8 +139,10 @@ Status LockManager::Acquire(TxnId txn, const std::string& resource,
     }
     mine_it = q.requests.insert(insert_pos, Request{txn, mode, false});
   } else {
+    // Not upgrading means no request of ours is in this queue yet.
     q.requests.push_back(Request{txn, mode, false});
     mine_it = std::prev(q.requests.end());
+    entered_[txn].push_back(resource);
   }
   Request& mine = *mine_it;
   while (true) {
@@ -162,8 +166,14 @@ Status LockManager::Acquire(TxnId txn, const std::string& resource,
     }
     if (WouldDeadlock(txn)) {
       wait_for_.erase(txn);
-      q.requests.remove_if(
-          [&](const Request& r) { return r.txn == txn && !r.granted; });
+      q.requests.erase(mine_it);
+      if (!upgrading) {
+        // Our request was the one we entered this queue with (pushed
+        // above by this same call), so it leaves our list again.
+        entered_[txn].pop_back();
+      }
+      // The queue stays non-empty (whatever blocks us is ahead of us in
+      // it), so it is not erased here.
       PromoteWaiters(q);
       released_.notify_all();
       return Status::Aborted("deadlock detected on " + resource);
@@ -172,26 +182,31 @@ Status LockManager::Acquire(TxnId txn, const std::string& resource,
   }
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
+size_t LockManager::ReleaseAll(TxnId txn) {
   std::lock_guard<std::mutex> lock(mutex_);
   wait_for_.erase(txn);
-  bool changed = false;
-  for (auto& [name, q] : queues_) {
-    size_t before = q.requests.size();
-    q.requests.remove_if([&](const Request& r) { return r.txn == txn; });
-    if (q.requests.size() != before) {
-      changed = true;
-      PromoteWaiters(q);
+  auto entered = entered_.find(txn);
+  if (entered == entered_.end()) return 0;
+  for (const std::string& resource : entered->second) {
+    auto it = queues_.find(resource);
+    it->second.requests.remove_if(
+        [&](const Request& r) { return r.txn == txn; });
+    if (it->second.requests.empty()) {
+      queues_.erase(it);
+    } else {
+      PromoteWaiters(it->second);
     }
   }
-  if (changed) released_.notify_all();
+  size_t visited = entered->second.size();
+  entered_.erase(entered);
+  released_.notify_all();
+  return visited;
 }
 
 std::string LockManager::DebugString() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
   for (const auto& [name, q] : queues_) {
-    if (q.requests.empty()) continue;
     out += name + ":";
     for (const Request& r : q.requests) {
       out += " txn" + std::to_string(r.txn);
@@ -211,11 +226,7 @@ std::string LockManager::DebugString() const {
 
 size_t LockManager::ActiveResources() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t n = 0;
-  for (const auto& [name, q] : queues_) {
-    if (!q.requests.empty()) ++n;
-  }
-  return n;
+  return queues_.size();
 }
 
 }  // namespace structura::rdbms

@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/status.h"
 
@@ -49,11 +50,14 @@ class LockManager {
   /// an upgrade. Returns kAborted on deadlock.
   Status Acquire(TxnId txn, const std::string& resource, LockMode mode);
 
-  /// Releases every lock `txn` holds and cancels its waits (strict 2PL:
-  /// called once at commit/abort).
-  void ReleaseAll(TxnId txn);
+  /// Releases every lock `txn` holds (strict 2PL: called once at
+  /// commit/abort, by the thread running `txn`, never while `txn` waits
+  /// in Acquire). Visits only the queues `txn` entered and erases those
+  /// it leaves empty; returns the number of queues visited (test hook).
+  size_t ReleaseAll(TxnId txn);
 
-  /// Number of resources with at least one holder or waiter (test hook).
+  /// Number of queues in the lock table. Every queue has at least one
+  /// holder or waiter: a queue is erased when it empties (test hook).
   size_t ActiveResources() const;
 
   /// Human-readable dump of all non-empty queues and wait-for edges
@@ -79,6 +83,8 @@ class LockManager {
   mutable std::mutex mutex_;
   std::condition_variable released_;
   std::unordered_map<std::string, Queue> queues_;
+  /// txn -> the resources whose queues it has a request in.
+  std::unordered_map<TxnId, std::vector<std::string>> entered_;
   /// txn -> txns it is currently waiting for (rebuilt while waiting).
   std::unordered_map<TxnId, std::unordered_set<TxnId>> wait_for_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -15,7 +16,7 @@ namespace {
 
 /// Under a critical subsystem verdict, one request in this many still
 /// attempts the primary operator (the rest go straight to the
-/// fallback). See the canary comment in Execute().
+/// fallback). See the canary comment in Run().
 constexpr uint64_t kCriticalCanaryEvery = 8;
 
 }  // namespace
@@ -282,33 +283,30 @@ Status Frontend::Attempt(Operator* op, const std::string& op_name,
   return st;
 }
 
-bool Frontend::TryFallback(Operator* primary, const RequestContext& ctx,
-                           const std::string& why,
-                           std::promise<Status>* done) {
+std::optional<Status> Frontend::TryFallback(Operator* primary,
+                                            const RequestContext& ctx,
+                                            const std::string& why) {
   // No response channel means no way to flag the answer as degraded —
   // serving the fallback anyway would be exactly the silent
   // substitution the degraded contract forbids. Let the primary's
   // refusal stand instead.
-  if (ctx.response == nullptr) return false;
+  if (ctx.response == nullptr) return std::nullopt;
   Operator* fb = nullptr;
   std::string fb_name;
   {
     std::lock_guard<std::mutex> lock(ops_mutex_);
-    if (primary->fallback.empty()) return false;
+    if (primary->fallback.empty()) return std::nullopt;
     fb_name = primary->fallback;
     auto it = ops_.find(fb_name);
     if (it != ops_.end()) fb = it->second.get();
   }
-  if (fb == nullptr) return false;
-  if (Status s = ctx.interrupt.Check(); !s.ok()) {
-    Resolve(done, std::move(s));
-    return true;
-  }
+  if (fb == nullptr) return std::nullopt;
+  if (Status s = ctx.interrupt.Check(); !s.ok()) return s;
   uint64_t admission = CircuitBreaker::kCurrentAdmission;
   if (!fb->breaker.Allow(&admission)) {
     // Both rungs of the ladder refused; the caller resolves the
     // original refusal (counted there, not double-counted here).
-    return false;
+    return std::nullopt;
   }
   TRACE_SPAN("serve.fallback");
   // The fallback attempt runs through the same failpoint sites as a
@@ -324,29 +322,24 @@ bool Frontend::TryFallback(Operator* primary, const RequestContext& ctx,
     ctx.response->served_by = fb_name;
     fallback_served_->Increment();
     degraded_answers_->Increment();
-    Resolve(done, Status::OK());
-    return true;
+    return Status::OK();
   }
   if (st.code() == StatusCode::kCancelled) {
     fb->breaker.ReleaseProbe(admission);
-    Resolve(done, std::move(st));
-    return true;
+    return st;
   }
   fb->breaker.RecordFailure(admission);
-  if (st.code() == StatusCode::kDeadlineExceeded) {
-    Resolve(done, std::move(st));
-    return true;
-  }
+  if (st.code() == StatusCode::kDeadlineExceeded) return st;
   // Single fallback attempt failed with a retryable error: fall back to
   // the caller's path (primary refusal, or the primary retry loop).
-  return false;
+  return std::nullopt;
 }
 
 void Frontend::Execute(Operator* op, const std::string& op_name,
                        const RequestContext& ctx, int64_t enqueued_at_nanos,
                        std::promise<Status>* done) {
   // Exactly one root span per admitted request: every Execute() runs
-  // under this scope, including the queued-too-long shed path below.
+  // under this scope, including the queued-too-long shed path.
   obs::TraceRequestScope root(ctx.trace_id, op->span_name);
   root_spans_->Increment();
   // Install the request's cost accumulator for everything below: charge
@@ -363,54 +356,44 @@ void Frontend::Execute(Operator* op, const std::string& op_name,
   int64_t dequeued_at_nanos = clock_->NowNanos();
   queue_wait_->Record(static_cast<uint64_t>(
       std::max<int64_t>(0, dequeued_at_nanos - enqueued_at_nanos)));
-  // On every resolution path: roll the accumulated CostVector up into
-  // the operator's per-dimension histograms and offer it to the top-K
-  // expensive-request tracker. The tracker entry is stamped with the
-  // dequeue time already in hand — the rollup itself never reads the
-  // clock.
-  struct CostRollup {
-    Operator* op;
-    const RequestContext* ctx;
-    obs::CostAccumulator* acc;
-    int64_t at_nanos;
-    ~CostRollup() {
-      if (acc == nullptr || !obs::CostAccountingEnabled()) return;
-      obs::CostVector cost = acc->Snapshot();
-      for (size_t d = 0; d < obs::kNumCostDims; ++d) {
-        // Zero-valued dims are skipped: the cpu histogram's count is the
-        // per-operator request count, so a dim's zero fraction is still
-        // derivable, and a trivial request stays one Record, not six.
-        if (cost.v[d] == 0 && d != static_cast<size_t>(obs::CostDim::kCpuNanos)) {
-          continue;
-        }
-        if (op->cost_hist[d] != nullptr) op->cost_hist[d]->Record(cost.v[d]);
-      }
-      obs::ExpensiveRequestTracker::Instance().Record(
-          ctx->trace_id, op->span_name, at_nanos, cost);
-    }
-  } rollup{op, &ctx, cost_acc, dequeued_at_nanos};
-  // Request latency spans queue wait + every attempt, recorded on every
-  // resolution path.
-  struct LatencyRecorder {
-    obs::Histogram* h;
-    structura::Clock* clock;
-    int64_t from_nanos;
-    ~LatencyRecorder() {
-      h->Record(static_cast<uint64_t>(
-          std::max<int64_t>(0, clock->NowNanos() - from_nanos)));
-    }
-  } latency{request_latency_, clock_, enqueued_at_nanos};
 
+  Status st = Run(op, op_name, ctx, dequeued_at_nanos - enqueued_at_nanos);
+
+  // Everything about the request is recorded before the caller is
+  // answered: a caller reading the registry right after Call() returns
+  // must see its own request. Roll the accumulated CostVector up into
+  // the operator's per-dimension histograms and offer it to the top-K
+  // expensive-request tracker, stamped with the dequeue time.
+  if (cost_acc != nullptr && obs::CostAccountingEnabled()) {
+    obs::CostVector cost = cost_acc->Snapshot();
+    for (size_t d = 0; d < obs::kNumCostDims; ++d) {
+      // Zero-valued dims are skipped: the cpu histogram's count is the
+      // per-operator request count, so a dim's zero fraction is still
+      // derivable, and a trivial request stays one Record, not six.
+      if (cost.v[d] == 0 && d != static_cast<size_t>(obs::CostDim::kCpuNanos)) {
+        continue;
+      }
+      if (op->cost_hist[d] != nullptr) op->cost_hist[d]->Record(cost.v[d]);
+    }
+    obs::ExpensiveRequestTracker::Instance().Record(
+        ctx.trace_id, op->span_name, dequeued_at_nanos, cost);
+  }
+  // Request latency spans queue wait + every attempt.
+  request_latency_->Record(static_cast<uint64_t>(
+      std::max<int64_t>(0, clock_->NowNanos() - enqueued_at_nanos)));
+  Resolve(done, std::move(st));
+}
+
+Status Frontend::Run(Operator* op, const std::string& op_name,
+                     const RequestContext& ctx, int64_t waited_nanos) {
   if (options_.shed_enabled) {
-    int64_t waited_ms =
-        (dequeued_at_nanos - enqueued_at_nanos) / 1'000'000;
+    int64_t waited_ms = waited_nanos / 1'000'000;
     if (static_cast<uint64_t>(std::max<int64_t>(0, waited_ms)) >
         options_.max_queue_wait_ms) {
       // Running a request whose latency budget was spent waiting would
       // only add load exactly when the system is already behind.
       shed_queued_wait_->Increment();
-      Resolve(done, Status::Unavailable("shed: queued too long"));
-      return;
+      return Status::Unavailable("shed: queued too long");
     }
   }
 
@@ -437,8 +420,7 @@ void Frontend::Execute(Operator* op, const std::string& op_name,
         ctx.response->degraded_reason = why;
       }
       read_only_refused_->Increment();
-      Resolve(done, Status::Unavailable(std::move(why)));
-      return;
+      return Status::Unavailable(std::move(why));
     }
   }
 
@@ -464,7 +446,7 @@ void Frontend::Execute(Operator* op, const std::string& op_name,
                         kCriticalCanaryEvery ==
                     kCriticalCanaryEvery - 1;
       if (!canary) {
-        if (TryFallback(op, ctx, subsystem + " critical", done)) return;
+        if (auto s = TryFallback(op, ctx, subsystem + " critical")) return *s;
       }
     }
   }
@@ -473,49 +455,43 @@ void Frontend::Execute(Operator* op, const std::string& op_name,
   uint32_t budget = ctx.retry_budget;
   uint32_t attempt = 0;
   while (true) {
-    if (Status s = ctx.interrupt.Check(); !s.ok()) {
-      Resolve(done, std::move(s));
-      return;
-    }
+    if (Status s = ctx.interrupt.Check(); !s.ok()) return s;
     uint64_t admission = CircuitBreaker::kCurrentAdmission;
     if (!op->breaker.Allow(&admission)) {
       breaker_rejected_->Increment();
       // Breaker-refused rung: try the fallback before failing the call.
-      if (TryFallback(op, ctx, "breaker open for " + op_name, done)) return;
-      Resolve(done, Status::Unavailable("breaker open for " + op_name));
-      return;
+      if (auto s = TryFallback(op, ctx, "breaker open for " + op_name)) {
+        return *s;
+      }
+      return Status::Unavailable("breaker open for " + op_name);
     }
     ++attempt;
     Status st = Attempt(op, op_name, ctx);
     if (st.ok()) {
       op->breaker.RecordSuccess(admission);
-      Resolve(done, Status::OK());
-      return;
+      return Status::OK();
     }
     if (st.code() == StatusCode::kCancelled) {
       // Client intent, not operator health: release the (possible)
       // probe slot without recording evidence either way — a cancelled
       // probe must not re-close a half-open breaker.
       op->breaker.ReleaseProbe(admission);
-      Resolve(done, std::move(st));
-      return;
+      return st;
     }
     if (st.code() == StatusCode::kDeadlineExceeded) {
       // Slowness IS a health signal — count it against the operator,
       // but don't retry: the budget is gone.
       op->breaker.RecordFailure(admission);
-      Resolve(done, std::move(st));
-      return;
+      return st;
     }
     op->breaker.RecordFailure(admission);
     if (budget == 0) {
       // Retry budget exhausted: one last chance to answer degraded
       // instead of not at all.
-      if (TryFallback(op, ctx, op_name + " failing", done)) return;
-      Resolve(done, Status::Unavailable(StrFormat(
-                        "%s failed after %u attempts: %s", op_name.c_str(),
-                        attempt, st.message().c_str())));
-      return;
+      if (auto s = TryFallback(op, ctx, op_name + " failing")) return *s;
+      return Status::Unavailable(StrFormat("%s failed after %u attempts: %s",
+                                           op_name.c_str(), attempt,
+                                           st.message().c_str()));
     }
     --budget;
     retries_->Increment();

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -189,7 +190,7 @@ class Frontend {
     /// refused while the read_only_gate subsystem is critical.
     bool is_write = false;
     /// Requests seen while the subsystem was critical; every Nth one is
-    /// let through to the primary as a recovery canary (see Execute()).
+    /// let through to the primary as a recovery canary (see Run()).
     std::atomic<uint64_t> canary{0};
     /// Per-dimension cost rollup histograms
     /// (serve.op.<name>.cost.<dim>), cached at registration.
@@ -198,11 +199,17 @@ class Frontend {
     explicit Operator(CircuitBreaker::Options bopts) : breaker(bopts) {}
   };
 
-  /// Runs on a pool worker: queued-wait shedding, breaker check,
-  /// failpoint + handler, retry loop; resolves `done`.
+  /// Runs on a pool worker: Run() under the request's root span and
+  /// cost context, then records its latency and cost and resolves
+  /// `done` — in that order, so a caller sees its own request counted.
   void Execute(Operator* op, const std::string& op_name,
                const RequestContext& ctx, int64_t enqueued_at_nanos,
                std::promise<Status>* done);
+
+  /// The request's fate: queued-wait shedding, read-only and health
+  /// gates, breaker check, failpoint + handler, retry loop, fallback.
+  Status Run(Operator* op, const std::string& op_name,
+             const RequestContext& ctx, int64_t waited_nanos);
 
   /// One handler attempt: the `serve.op` and `serve.op.<name>`
   /// failpoints, then the handler, its cpu time charged to the request.
@@ -210,11 +217,13 @@ class Frontend {
                  const RequestContext& ctx);
 
   /// Attempts the fallback ladder for `primary` (reason: `why`).
-  /// Returns true when it resolved `done` (served degraded, or the
-  /// fallback attempt itself terminated the request); false when no
-  /// fallback is available and the normal refusal path should run.
-  bool TryFallback(Operator* primary, const RequestContext& ctx,
-                   const std::string& why, std::promise<Status>* done);
+  /// Returns the request's final status when the ladder settled it
+  /// (served degraded, or the fallback attempt itself terminated the
+  /// request); nullopt when no fallback is available and the normal
+  /// refusal path should run.
+  std::optional<Status> TryFallback(Operator* primary,
+                                    const RequestContext& ctx,
+                                    const std::string& why);
 
   void Resolve(std::promise<Status>* done, Status s);
 

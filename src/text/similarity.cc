@@ -28,8 +28,11 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b) {
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {
   size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
-                   static_cast<double>(longest);
+  return LevenshteinScore(LevenshteinDistance(a, b), longest);
+}
+
+double LevenshteinScore(size_t distance, size_t longest) {
+  return 1.0 - static_cast<double>(distance) / static_cast<double>(longest);
 }
 
 double JaroSimilarity(std::string_view a, std::string_view b) {

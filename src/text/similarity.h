@@ -15,6 +15,12 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b);
 /// 1 - distance / max(len); 1.0 for identical strings, in [0, 1].
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
+/// The LevenshteinSimilarity of two strings at edit distance `distance`
+/// whose longer one has `longest` > 0 characters. Non-increasing in
+/// `distance` (rounded division and subtraction are monotone), so the
+/// least distance two lengths allow bounds every score they can reach.
+double LevenshteinScore(size_t distance, size_t longest);
+
 /// Jaro similarity in [0, 1].
 double JaroSimilarity(std::string_view a, std::string_view b);
 

@@ -1,3 +1,22 @@
+// Entity resolution: matchers, the candidate generators behind
+// ResolveEntities, union-find and schema matching. The seeded oracle
+// sweep (ResolveOracleSweepTest.*, ctest label `oracle`) checks the exact
+// Levenshtein generator against the exhaustive path; a failure prints
+// the STRUCTURA_ORACLE_SEED that replays it, and STRUCTURA_ORACLE_ITERS
+// scales the iteration count.
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
@@ -15,6 +34,20 @@ MentionRecord M(uint64_t id, const std::string& s) {
   m.id = id;
   m.surface = s;
   return m;
+}
+
+/// One random insertion, deletion or substitution.
+void RandomEdit(std::mt19937_64& rng, const std::string& alphabet,
+                std::string* s) {
+  const char c = alphabet[rng() % alphabet.size()];
+  const uint64_t op = rng() % 3;
+  if (op == 0 || s->empty()) {
+    s->insert(s->begin() + static_cast<long>(rng() % (s->size() + 1)), c);
+  } else if (op == 1) {
+    s->erase(rng() % s->size(), 1);
+  } else {
+    (*s)[rng() % s->size()] = c;
+  }
 }
 
 TEST(UnionFindTest, BasicMerging) {
@@ -154,6 +187,111 @@ TEST(ResolutionTest, ThresholdControlsMerging) {
   EXPECT_EQ(ResolveEntities(mentions, loose).num_clusters, 1u);
 }
 
+/// A threshold printed to the last bit (17 significant digits), so a
+/// failure names which neighbour of a boundary it was.
+std::string ThresholdLabel(double t) {
+  char label[48];
+  std::snprintf(label, sizeof(label), "threshold %.17g", t);
+  return label;
+}
+
+ResolutionResult Resolve(const std::vector<MentionRecord>& mentions,
+                         const SimilarityMatcher& matcher, double threshold,
+                         bool use_candidates) {
+  ResolutionOptions options;
+  options.matcher = &matcher;
+  options.threshold = threshold;
+  options.use_blocking = use_candidates;
+  return ResolveEntities(mentions, options);
+}
+
+/// `got` decides everything the exhaustive `ref` decides: the merged
+/// pairs (indexes and score bits, in order), the clusters and their
+/// count — having scored no more pairs.
+void ExpectSameResolution(const ResolutionResult& ref,
+                          const ResolutionResult& got) {
+  ASSERT_EQ(got.merged_pairs.size(), ref.merged_pairs.size());
+  for (size_t k = 0; k < ref.merged_pairs.size(); ++k) {
+    const ScoredPair& r = ref.merged_pairs[k];
+    const ScoredPair& g = got.merged_pairs[k];
+    ASSERT_EQ(g.a, r.a) << "merge " << k;
+    ASSERT_EQ(g.b, r.b) << "merge " << k;
+    ASSERT_EQ(std::bit_cast<uint64_t>(g.score),
+              std::bit_cast<uint64_t>(r.score))
+        << "merge " << k;
+  }
+  ASSERT_EQ(got.cluster_of, ref.cluster_of);
+  ASSERT_EQ(got.num_clusters, ref.num_clusters);
+  ASSERT_LE(got.pairs_scored, ref.pairs_scored);
+}
+
+TEST(ResolutionTest, LevenshteinCandidatesKeepPairsOnTheBoundary) {
+  // One edit apart at 20 characters scores exactly 1 - 1/20: by
+  // deletion (20 vs 19 characters), by substitution (equal lengths).
+  const std::string s20 = "abcdefghijklmnopqrst";
+  std::vector<MentionRecord> mentions = {
+      M(0, s20), M(1, s20.substr(0, 19)), M(2, "abcdefghijklmnopqrsX"),
+      M(3, s20), M(4, ""),                M(5, "")};
+  LevenshteinMatcher lev;
+  const double edge = 1.0 - 1.0 / 20.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {edge, std::nextafter(edge, -inf), std::nextafter(edge, inf),
+                   1.0, std::nextafter(1.0, inf), 0.0, -1.0}) {
+    SCOPED_TRACE(ThresholdLabel(t));
+    ExpectSameResolution(Resolve(mentions, lev, t, false),
+                         Resolve(mentions, lev, t, true));
+  }
+  // At the edge all four long surfaces merge; the empty ones pair alone.
+  EXPECT_EQ(Resolve(mentions, lev, edge, true).num_clusters, 2u);
+  // One ulp above it only identical surfaces merge, and only they are
+  // scored: {0, 3} and {4, 5}.
+  ResolutionResult above =
+      Resolve(mentions, lev, std::nextafter(edge, inf), true);
+  EXPECT_EQ(above.num_clusters, 4u);
+  EXPECT_EQ(above.pairs_scored, 2u);
+  // Above 1 nothing can merge, so nothing is scored.
+  EXPECT_EQ(Resolve(mentions, lev, std::nextafter(1.0, inf), true)
+                .pairs_scored,
+            0u);
+}
+
+TEST(ResolutionTest, LevenshteinCandidatesMatchExhaustiveOnCorpus) {
+  corpus::CorpusOptions options;
+  options.num_cities = 30;
+  options.num_people = 60;
+  options.num_companies = 15;
+  options.news_pages = 20;
+  options.seed = 11;
+  text::DocumentCollection docs;
+  corpus::GroundTruth truth;
+  corpus::GenerateCorpus(options, &docs, &truth);
+  // Distinct surfaces, as RESOLVE hands them over: the planted mentions
+  // and a one-typo copy of each.
+  std::vector<MentionRecord> mentions;
+  std::set<std::string> seen;
+  std::mt19937_64 rng(11);
+  for (const corpus::MentionTruth& m : truth.mentions) {
+    std::string typo = m.surface;
+    RandomEdit(rng, "abcdefghijklmnopqrstuvwxyz", &typo);
+    for (const std::string& s : {m.surface, typo}) {
+      if (seen.insert(s).second) mentions.push_back(M(mentions.size(), s));
+    }
+  }
+  LevenshteinMatcher lev;
+  for (double t : {0.95, 0.8}) {
+    SCOPED_TRACE(ThresholdLabel(t));
+    ResolutionResult ref = Resolve(mentions, lev, t, false);
+    ResolutionResult got = Resolve(mentions, lev, t, true);
+    ExpectSameResolution(ref, got);
+    if (t == 0.95) {
+      // RESOLVE's threshold: a one-typo copy of a long surface merges,
+      // and the length window scores a small fraction of all pairs.
+      EXPECT_GT(got.merged_pairs.size(), 0u);
+      EXPECT_LT(got.pairs_scored * 100, ref.pairs_scored);
+    }
+  }
+}
+
 TEST(TopKTest, ReturnsMostSimilarFirst) {
   std::vector<MentionRecord> mentions = {
       M(0, "David Smith"), M(1, "D. Smith"), M(2, "David Smithson"),
@@ -206,6 +344,139 @@ TEST(SchemaMatcherTest, ValueOverlapNumericVsText) {
   // Ranges [1,3] and [2,4]: overlap 1 over combined span 3.
   EXPECT_NEAR(ValueOverlap(nums1, nums2), 1.0 / 3.0, 1e-9);
   EXPECT_EQ(ValueOverlap(nums1, text), 0.0);
+}
+
+// ------------------------------------------------------ oracle sweep
+
+uint64_t EnvU64(const char* name, uint64_t fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  return std::strtoull(s, nullptr, 10);
+}
+
+/// LevenshteinMatcher's scores, computed once per input and served from
+/// a table, so the exhaustive reference runs at many thresholds for the
+/// price of one. A mention's id is its index.
+class TableMatcher : public SimilarityMatcher {
+ public:
+  explicit TableMatcher(const std::vector<MentionRecord>& mentions)
+      : n_(mentions.size()), table_(n_ * n_) {
+    LevenshteinMatcher lev;
+    for (size_t a = 0; a < n_; ++a) {
+      for (size_t b = a + 1; b < n_; ++b) {
+        table_[a * n_ + b] = table_[b * n_ + a] =
+            lev.Score(mentions[a], mentions[b]);
+      }
+    }
+  }
+  std::string name() const override { return "levenshtein_table"; }
+  double Score(const MentionRecord& a,
+               const MentionRecord& b) const override {
+    return table_[a.id * n_ + b.id];
+  }
+
+ private:
+  size_t n_;
+  std::vector<double> table_;
+};
+
+/// A few random bases of 0-60 characters over a three-letter alphabet,
+/// and copies of them up to three edits away, with duplicates and empty
+/// surfaces mixed in.
+std::vector<std::string> SyntheticSurfaces(std::mt19937_64& rng) {
+  const std::string alphabet = "ab ";
+  std::vector<std::string> bases(2 + rng() % 6);
+  for (std::string& base : bases) {
+    for (size_t len = rng() % 61; base.size() < len;) {
+      base += alphabet[rng() % alphabet.size()];
+    }
+  }
+  std::vector<std::string> out;
+  for (size_t n = 10 + rng() % 50; out.size() < n;) {
+    const uint64_t kind = rng() % 8;
+    if (kind == 0) {
+      out.emplace_back();
+    } else if (kind == 1 && !out.empty()) {
+      out.push_back(out[rng() % out.size()]);
+    } else {
+      std::string s = bases[rng() % bases.size()];
+      for (uint64_t e = rng() % 4; e > 0; --e) RandomEdit(rng, alphabet, &s);
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
+/// The corpus generator's planted mentions ("D. Smith", "Madison,
+/// Wisconsin"), duplicates as planted, a quarter of them with a typo.
+std::vector<std::string> CorpusSurfaces(std::mt19937_64& rng, uint64_t seed) {
+  corpus::CorpusOptions options;
+  options.num_cities = 2 + rng() % 5;
+  options.num_people = 2 + rng() % 8;
+  options.num_companies = rng() % 3;
+  options.news_pages = 1 + rng() % 4;
+  options.seed = seed;
+  text::DocumentCollection docs;
+  corpus::GroundTruth truth;
+  corpus::GenerateCorpus(options, &docs, &truth);
+  std::vector<std::string> out;
+  for (const corpus::MentionTruth& m : truth.mentions) {
+    if (out.size() == 60) break;
+    std::string s = m.surface;
+    if (rng() % 4 == 0) RandomEdit(rng, "abcdefghijklmnopqrstuvwxyz .", &s);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// One of the fixed thresholds (chosen by seed) and two that fall on a
+/// length boundary of this input — the score of the least distance a
+/// length allows — each with its two std::nextafter neighbours.
+std::vector<double> SweepThresholds(std::mt19937_64& rng, uint64_t seed,
+                                    const std::vector<std::string>& surfaces) {
+  static const double kFixed[] = {0, 1, 0.5, 0.8, 0.9, 0.95, 1.0 - 1.0 / 20};
+  std::vector<double> centres = {kFixed[seed % 7]};
+  for (int k = 0; k < 2; ++k) {
+    size_t longest = 1;
+    for (int pick = 0; pick < 2; ++pick) {
+      longest = std::max(longest, surfaces[rng() % surfaces.size()].size());
+    }
+    const size_t distance = 1 + rng() % std::min<size_t>(longest, 3);
+    centres.push_back(1.0 - static_cast<double>(distance) /
+                                static_cast<double>(longest));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> out;
+  for (double t : centres) {
+    out.insert(out.end(),
+               {t, std::nextafter(t, -inf), std::nextafter(t, inf)});
+  }
+  return out;
+}
+
+TEST(ResolveOracleSweepTest, LevenshteinCandidatesMatchExhaustive) {
+  const uint64_t base_seed = EnvU64("STRUCTURA_ORACLE_SEED", 20261019);
+  const uint64_t iters = EnvU64("STRUCTURA_ORACLE_ITERS", 200);
+  LevenshteinMatcher lev;
+  for (uint64_t iter = 0; iter < iters; ++iter) {
+    const uint64_t seed = base_seed + iter;
+    SCOPED_TRACE("replay: STRUCTURA_ORACLE_SEED=" + std::to_string(seed) +
+                 " STRUCTURA_ORACLE_ITERS=1");
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> surfaces =
+        seed % 4 == 0 ? CorpusSurfaces(rng, seed) : SyntheticSurfaces(rng);
+    std::vector<MentionRecord> mentions;
+    for (const std::string& s : surfaces) {
+      mentions.push_back(M(mentions.size(), s));
+    }
+    TableMatcher exhaustive(mentions);
+    for (double t : SweepThresholds(rng, seed, surfaces)) {
+      SCOPED_TRACE(ThresholdLabel(t));
+      ExpectSameResolution(Resolve(mentions, exhaustive, t, false),
+                           Resolve(mentions, lev, t, true));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

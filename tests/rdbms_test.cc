@@ -1,6 +1,8 @@
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -376,6 +378,61 @@ TEST(LockTest, DeadlockDetected) {
   // At least one of the two cyclic waiters must have been aborted, and
   // both threads terminated (no hang).
   EXPECT_GE(aborted.load(), 1);
+}
+
+TEST(LockTest, CommittedTransactionsLeaveNoQueues) {
+  // Every row ever locked used to keep an empty queue, and each release
+  // walked them all. Releasing now visits exactly the queues the
+  // transaction entered and erases those it leaves empty.
+  LockManager lm;
+  for (TxnId txn = 1; txn <= 2000; ++txn) {
+    ASSERT_TRUE(lm.Acquire(txn, "t:final", LockMode::kIntentionExclusive).ok());
+    ASSERT_TRUE(lm.Acquire(txn, "r:final:" + std::to_string(txn),
+                           LockMode::kExclusive)
+                    .ok());
+    // Re-entrant and covered requests enter no further queue.
+    ASSERT_TRUE(lm.Acquire(txn, "t:final", LockMode::kIntentionShared).ok());
+    EXPECT_EQ(lm.ReleaseAll(txn), 2u);
+  }
+  EXPECT_EQ(lm.ActiveResources(), 0u);
+  EXPECT_EQ(lm.DebugString(), "");
+
+  // k locks, k queues visited; the table empties behind them.
+  const TxnId big = 5000;
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(
+        lm.Acquire(big, "r:x:" + std::to_string(i), LockMode::kShared).ok());
+  }
+  ASSERT_TRUE(lm.Acquire(big, "r:x:3", LockMode::kExclusive).ok());  // upgrade
+  ASSERT_TRUE(lm.Acquire(5001, "r:x:0", LockMode::kShared).ok());
+  EXPECT_EQ(lm.ActiveResources(), 7u);
+  EXPECT_EQ(lm.ReleaseAll(big), 7u);
+  EXPECT_EQ(lm.ActiveResources(), 1u);  // 5001 still holds r:x:0
+  EXPECT_EQ(lm.ReleaseAll(5001), 1u);
+  EXPECT_EQ(lm.ActiveResources(), 0u);
+  EXPECT_EQ(lm.ReleaseAll(5001), 0u);  // nothing left to release
+}
+
+TEST(LockTest, DeadlockVictimLeavesOnlyTheQueuesItHolds) {
+  // T1 holds a and waits for b; T2 holds b and asks for a, closing the
+  // cycle. T2 is refused, and the refused request takes nothing with it:
+  // T2 then releases exactly b, T1 gets b, and the table empties.
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, "a", LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Acquire(2, "b", LockMode::kExclusive).ok());
+  std::thread t1([&] {
+    EXPECT_TRUE(lm.Acquire(1, "b", LockMode::kExclusive).ok());
+    EXPECT_EQ(lm.ReleaseAll(1), 2u);
+  });
+  while (lm.DebugString().find("txn1/X(W)") == std::string::npos) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Status s = lm.Acquire(2, "a", LockMode::kExclusive);
+  EXPECT_EQ(s.code(), StatusCode::kAborted) << s.ToString();
+  EXPECT_EQ(lm.ActiveResources(), 2u);
+  EXPECT_EQ(lm.ReleaseAll(2), 1u);
+  t1.join();
+  EXPECT_EQ(lm.ActiveResources(), 0u);
 }
 
 // ------------------------------------------------------------- Database

@@ -473,7 +473,7 @@ TEST(FrontendTest, CountersAreOwnedPerFrontendAndFoldIntoDefault) {
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(b.Call("ok", RequestContext{}).ok());
     }
-    b.WaitIdle();  // latency is recorded after each future resolves
+    b.WaitIdle();
     EXPECT_EQ(a.Counters().issued, 0u);
     EXPECT_EQ(a.Counters().ok, 0u);
     EXPECT_EQ(b.Counters().issued, 5u);
@@ -486,6 +486,29 @@ TEST(FrontendTest, CountersAreOwnedPerFrontendAndFoldIntoDefault) {
   EXPECT_EQ(ProcessHistogramCount("serve.request.latency_ns"),
             latency_before + 5);
   EXPECT_EQ(a.Counters().issued, 0u);
+}
+
+TEST(FrontendTest, RequestIsRecordedBeforeItsCallReturns) {
+  // A request's latency and its operator's cost rollup are recorded
+  // before its future is set, so the caller reads its own request right
+  // after Call() returns, with no WaitIdle(). (Recorded after the
+  // promise, the counts trailed the caller now and then: a race.)
+  Frontend::Options opts;
+  opts.num_threads = 2;
+  Frontend fe(opts);
+  fe.RegisterOperator("seen",
+                      [](const RequestContext&) { return Status::OK(); });
+  const uint64_t latency_before =
+      ProcessHistogramCount("serve.request.latency_ns");
+  const uint64_t cost_before =
+      ProcessHistogramCount("serve.op.seen.cost.cpu_ns");
+  for (uint64_t i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(fe.Call("seen", RequestContext{}).ok());
+    ASSERT_EQ(ProcessHistogramCount("serve.request.latency_ns"),
+              latency_before + i);
+    ASSERT_EQ(ProcessHistogramCount("serve.op.seen.cost.cpu_ns"),
+              cost_before + i);
+  }
 }
 
 // ------------------------------------------------------- Health model
