@@ -51,12 +51,6 @@ Result<std::unique_ptr<System>> System::Create(Options options) {
   }
   STRUCTURA_ASSIGN_OR_RETURN(sys->db_, rdbms::Database::Open(db_options));
   if (!sys->options_.workspace.empty()) {
-    storage::SegmentStore::Options seg_options;
-    seg_options.env = sys->options_.env;
-    STRUCTURA_ASSIGN_OR_RETURN(
-        sys->intermediate_,
-        storage::SegmentStore::Open(
-            sys->options_.workspace + "/intermediate", seg_options));
     // Snapshots get a durable journal too: every acknowledged crawl
     // version survives a restart.
     STRUCTURA_RETURN_IF_ERROR(sys->snapshots_.AttachJournal(
@@ -83,7 +77,6 @@ Result<std::unique_ptr<System>> System::Create(Options options) {
     query::QueryResultCache::Options cache_options;
     cache_options.max_entries = sys->options_.query_cache_entries;
     cache_options.max_bytes = sys->options_.query_cache_bytes;
-    cache_options.min_cost_score = sys->options_.query_cache_min_cost;
     sys->query_cache_ =
         std::make_unique<query::QueryResultCache>(cache_options);
     sys->ctx_.cache = sys->query_cache_.get();
@@ -154,50 +147,30 @@ Result<std::unique_ptr<System>> System::Create(Options options) {
 }
 
 void System::RegisterBuiltinHealthSignals() {
-  // storage.wal: the final store's WAL + checkpoint. Judged by the
-  // latest scrub once one ran (a clean scrub is what heals the
-  // subsystem), else by what recovery found at open.
-  health_.Register("storage.wal", "integrity", [this] {
-    {
-      std::lock_guard<std::mutex> lock(scrub_mutex_);
-      if (scrubbed_) {
-        if (last_scrub_db_.AnyDamage()) {
-          return serve::HealthSample{serve::HealthState::kDegraded,
-                                     "scrub: " + last_scrub_db_.ToString()};
+  // One integrity signal per durable store, under one rule: a store is
+  // judged by its latest scrub once one ran (a clean scrub is what
+  // heals the subsystem), else by what recovery found at open.
+  auto store_signal = [this](const char* name,
+                             const IntegrityCounters* last_scrub,
+                             const IntegrityCounters* recovered) {
+    health_.Register(name, "integrity", [this, last_scrub, recovered] {
+      IntegrityCounters found = *recovered;
+      const char* pass = "recovery: ";
+      {
+        std::lock_guard<std::mutex> lock(scrub_mutex_);
+        if (scrubbed_) {
+          found = *last_scrub;
+          pass = "scrub: ";
         }
-        return serve::HealthSample{};
       }
-    }
-    IntegrityCounters rec = db_->recovery_report();
-    if (rec.AnyDamage()) {
+      if (!found.AnyDamage()) return serve::HealthSample{};
       return serve::HealthSample{serve::HealthState::kDegraded,
-                                 "recovery: " + rec.ToString()};
-    }
-    return serve::HealthSample{};
-  });
-  // storage.segments: the intermediate segment log + snapshot store.
-  health_.Register("storage.segments", "integrity", [this] {
-    {
-      std::lock_guard<std::mutex> lock(scrub_mutex_);
-      if (scrubbed_) {
-        IntegrityCounters c = last_scrub_segments_;
-        c.Merge(last_scrub_snapshots_);
-        if (c.AnyDamage()) {
-          return serve::HealthSample{serve::HealthState::kDegraded,
-                                     "scrub: " + c.ToString()};
-        }
-        return serve::HealthSample{};
-      }
-    }
-    if (intermediate_ != nullptr) {
-      IntegrityCounters rec = intermediate_->recovery_report();
-      if (rec.AnyDamage()) {
-        return serve::HealthSample{serve::HealthState::kDegraded,
-                                   "recovery: " + rec.ToString()};
-      }
-    }
-    return serve::HealthSample{};
-  });
+                                 pass + found.ToString()};
+    });
+  };
+  store_signal("storage.wal", &last_scrub_db_, &db_->recovery_report());
+  store_signal("storage.snapshots", &last_scrub_snapshots_,
+               &snapshots_.recovery_report());
   // storage.disk: the I/O environment itself. Cheap while quiet (two
   // relaxed loads); when the env's failure ledger advances or a sink
   // is latched failed, it probes the workspace with a real
@@ -258,9 +231,6 @@ void System::RegisterBuiltinHealthSignals() {
 
 IntegrityCounters System::RecoveryReport() const {
   IntegrityCounters recovered = db_->recovery_report();
-  if (intermediate_ != nullptr) {
-    recovered.Merge(intermediate_->recovery_report());
-  }
   recovered.Merge(snapshots_.recovery_report());
   return recovered;
 }
@@ -274,9 +244,7 @@ void System::PublishIntegrity(const std::string& pass,
 }
 
 bool System::ReadOnly() const {
-  return db_->WalFailed() ||
-         (intermediate_ != nullptr && intermediate_->Failed()) ||
-         snapshots_.Failed();
+  return db_->WalFailed() || snapshots_.Failed();
 }
 
 std::string System::ReadOnlyReason() const {
@@ -287,9 +255,6 @@ std::string System::ReadOnlyReason() const {
   };
   if (db_->WalFailed()) {
     add("wal: " + db_->WalFailedStatus().message());
-  }
-  if (intermediate_ != nullptr && intermediate_->Failed()) {
-    add("intermediate segment log failed");
   }
   if (snapshots_.Failed()) add("snapshot journal failed");
   return reason;
@@ -306,9 +271,6 @@ Status System::HealStorage() {
       // in-memory state, then Reset() opens a fresh handle — so the new
       // WAL never diverges from what memory already holds.
       STRUCTURA_RETURN_IF_ERROR(db_->Checkpoint());
-    }
-    if (intermediate_ != nullptr && intermediate_->Failed()) {
-      STRUCTURA_RETURN_IF_ERROR(intermediate_->ReopenActive());
     }
     if (snapshots_.Failed()) {
       STRUCTURA_RETURN_IF_ERROR(snapshots_.ReopenJournal());
@@ -429,7 +391,7 @@ void System::WatchdogLoop() {
     if (watchdog_options_.auto_scrub) {
       bool storage_trouble =
           health_.StateOf("storage.wal") != serve::HealthState::kHealthy ||
-          health_.StateOf("storage.segments") != serve::HealthState::kHealthy;
+          health_.StateOf("storage.snapshots") != serve::HealthState::kHealthy;
       int64_t now = clk->NowNanos();
       bool cooled =
           last_auto_scrub < 0 ||
@@ -1008,32 +970,8 @@ Status System::MaterializeBeliefs(const std::string& table) {
     if (belief_node.ok()) {
       lineage_.AddEdge(tuple, *belief_node, "materializes");
     }
-    // Best-effort copy into the sequential intermediate log (feeds
-    // downstream batch consumers; the transactional store remains the
-    // source of truth).
-    if (intermediate_ != nullptr) {
-      Result<uint64_t> appended = intermediate_->Append(
-          StrFormat("%s\t%s\t%s\t%.6f", b.subject.c_str(),
-                    b.attribute.c_str(), top->value.c_str(),
-                    top->probability));
-      if (!appended.ok()) {
-        STRUCTURA_LOG(kWarning) << "intermediate log append failed: "
-                                << appended.status().ToString();
-      }
-    }
   }
-  STRUCTURA_RETURN_IF_ERROR(txn->Commit());
-  // The intermediate log is best-effort (the transactional store is
-  // the source of truth), but push its copies to disk while we're at
-  // a batch boundary — a failure here degrades, not aborts.
-  if (intermediate_ != nullptr) {
-    Status synced = intermediate_->Sync();
-    if (!synced.ok()) {
-      STRUCTURA_LOG(kWarning)
-          << "intermediate log sync failed: " << synced.ToString();
-    }
-  }
-  return Status::OK();
+  return txn->Commit();
 }
 
 Result<IntegrityCounters> System::ScrubStorage() {
@@ -1041,22 +979,16 @@ Result<IntegrityCounters> System::ScrubStorage() {
   static obs::Counter* scrubs =
       obs::MetricsRegistry::Default().GetCounter("integrity.scrubs");
   // Per-store passes, so the health signals can tell WAL trouble from
-  // segment-log trouble.
+  // snapshot-journal trouble.
   IntegrityCounters db_counters;
-  IntegrityCounters segment_counters;
   IntegrityCounters snapshot_counters;
   STRUCTURA_RETURN_IF_ERROR(db_->Scrub(&db_counters));
-  if (intermediate_ != nullptr) {
-    STRUCTURA_RETURN_IF_ERROR(intermediate_->Scrub(&segment_counters));
-  }
   STRUCTURA_RETURN_IF_ERROR(snapshots_.Scrub(&snapshot_counters));
   IntegrityCounters counters = db_counters;
-  counters.Merge(segment_counters);
   counters.Merge(snapshot_counters);
   {
     std::lock_guard<std::mutex> lock(scrub_mutex_);
     last_scrub_db_ = db_counters;
-    last_scrub_segments_ = segment_counters;
     last_scrub_snapshots_ = snapshot_counters;
     last_scrub_ = counters;
     scrubbed_ = true;

@@ -36,7 +36,6 @@
 #include "rdbms/database.h"
 #include "serve/counters.h"
 #include "serve/health.h"
-#include "storage/segment_store.h"
 #include "storage/snapshot_store.h"
 #include "uncertainty/confidence.h"
 #include "user/accounts.h"
@@ -60,9 +59,9 @@ class System {
     /// fully in-memory (still transactional, not durable).
     std::string workspace;
     /// I/O environment for every durable store (WAL, checkpoint,
-    /// intermediate segment log, snapshot journal). nullptr =
-    /// Env::Default(); tests pass a SimulatedEnv to exercise power
-    /// cuts and, through its `env.*` failpoints, syscall-level failures.
+    /// snapshot journal). nullptr = Env::Default(); tests pass a
+    /// SimulatedEnv to exercise power cuts and, through its `env.*`
+    /// failpoints, syscall-level failures.
     Env* env = nullptr;
     /// Time source for every timer in the system (watchdog interval
     /// and cooldowns, WAL group-commit window). nullptr = real time;
@@ -92,9 +91,6 @@ class System {
     /// entirely (no cache object is created).
     size_t query_cache_entries = 1024;
     size_t query_cache_bytes = 8u << 20;
-    /// Cost-aware admission: results whose measured CostVector score
-    /// falls below this are not worth caching. 0 = admit everything.
-    uint64_t query_cache_min_cost = 0;
   };
 
   static Result<std::unique_ptr<System>> Create(Options options);
@@ -191,24 +187,19 @@ class System {
 
   rdbms::Database* database() { return db_.get(); }
 
-  /// Append-only log of materialized belief tuples — the paper's
-  /// sequential "intermediate structured data" device. Null for an
-  /// in-memory (workspace-less) system.
-  storage::SegmentStore* intermediate_store() { return intermediate_.get(); }
-
   /// Re-reads and re-verifies every byte of persistent storage — the
-  /// final store's checkpoint and WAL, the intermediate segment log, and
-  /// every snapshot version — and returns what it found. The result is
-  /// also remembered and surfaced in StatusReport().
+  /// final store's checkpoint and WAL, and every snapshot version — and
+  /// returns what it found. The result is also remembered and surfaced
+  /// in StatusReport().
   Result<IntegrityCounters> ScrubStorage();
 
   // --- Health & self-healing -------------------------------------------
 
-  /// True while any durable write sink is latched failed (WAL,
-  /// intermediate segment log, or snapshot journal): the system is in
-  /// read-only brownout — reads keep serving, writes are refused with
-  /// kUnavailable until the watchdog (or an explicit HealStorage call)
-  /// repairs the failed sinks. Always false for an in-memory system.
+  /// True while any durable write sink is latched failed (WAL or
+  /// snapshot journal): the system is in read-only brownout — reads
+  /// keep serving, writes are refused with kUnavailable until the
+  /// watchdog (or an explicit HealStorage call) repairs the failed
+  /// sinks. Always false for an in-memory system.
   bool ReadOnly() const;
   /// Why ReadOnly() is true (empty string otherwise).
   std::string ReadOnlyReason() const;
@@ -216,27 +207,26 @@ class System {
   /// Repairs failed durable sinks after the underlying disk recovers:
   /// probes the workspace with a real write+fsync first (a dead disk
   /// returns its error and heals nothing), then checkpoints the
-  /// database (giving the WAL a fresh handle), rolls the intermediate
-  /// log to a fresh segment, and rewrites the snapshot journal from
-  /// memory. Idempotent; the watchdog calls this automatically. Safe
-  /// under live transactional traffic: the heal checkpoint quiesces
-  /// writers itself (Database::Checkpoint takes shared table locks), so
-  /// it cannot persist another transaction's uncommitted rows. Snapshot
-  /// ingest, as ever, must not race the journal rewrite.
+  /// database (giving the WAL a fresh handle) and rewrites the snapshot
+  /// journal from memory. Idempotent; the watchdog calls this
+  /// automatically. Safe under live transactional traffic: the heal
+  /// checkpoint quiesces writers itself (Database::Checkpoint takes
+  /// shared table locks), so it cannot persist another transaction's
+  /// uncommitted rows. Snapshot ingest, as ever, must not race the
+  /// journal rewrite.
   Status HealStorage();
 
   /// The system's health ledger. Built-in signals (registered at
-  /// Create): `storage.wal` and `storage.segments` from recovery
-  /// reports + the latest per-store scrub, `storage.disk` from the I/O
-  /// environment's failure ledger plus a live probe write (critical
-  /// while the disk is unwritable or a sink is pending heal — the
-  /// serve layer keys read-only brownout off it), `ie` from this
-  /// System's own extractor quarantine ledger (degraded while any
-  /// extractor is quarantined, critical when all are). Serving
-  /// components add their own
-  /// (Frontend tags operator breakers into `query.*` / `serve`). The
-  /// model lives as long as the System; registrants must detach before
-  /// the System is destroyed.
+  /// Create): `storage.wal` and `storage.snapshots`, each judged by its
+  /// store's latest scrub once one ran, else by what recovery found at
+  /// open; `storage.disk` from the I/O environment's failure ledger
+  /// plus a live probe write (critical while the disk is unwritable or
+  /// a sink is pending heal — the serve layer keys read-only brownout
+  /// off it), `ie` from this System's own extractor quarantine ledger
+  /// (degraded while any extractor is quarantined, critical when all
+  /// are). Serving components add their own (Frontend tags operator
+  /// breakers into `query.*` / `serve`). The model lives as long as the
+  /// System; registrants must detach before the System is destroyed.
   serve::HealthModel& health() { return health_; }
   const serve::HealthModel& health() const { return health_; }
 
@@ -413,7 +403,7 @@ class System {
   /// from Create, after the stores are open).
   void RegisterBuiltinHealthSignals();
   /// What opening the stores found: the final store's WAL and
-  /// checkpoint, the intermediate segment log and the snapshot journal.
+  /// checkpoint, and the snapshot journal.
   IntegrityCounters RecoveryReport() const;
   /// Sets the `integrity.<pass>.<field>` gauges, one per field.
   void PublishIntegrity(const std::string& pass,
@@ -441,7 +431,6 @@ class System {
   obs::MetricsRegistry metrics_{&obs::MetricsRegistry::Default()};
 
   std::unique_ptr<rdbms::Database> db_;
-  std::unique_ptr<storage::SegmentStore> intermediate_;
   /// Morsel-execution worker pool (null when query_parallelism <= 1)
   /// and the epoch-versioned result cache (null when disabled).
   /// ~System detaches the database commit listener before these die.
@@ -452,9 +441,8 @@ class System {
   mutable std::mutex scrub_mutex_;
   IntegrityCounters last_scrub_;
   /// Per-store views of the last scrub, so the health signals can tell
-  /// WAL trouble from segment-log trouble.
+  /// WAL trouble from snapshot-journal trouble.
   IntegrityCounters last_scrub_db_;
-  IntegrityCounters last_scrub_segments_;
   IntegrityCounters last_scrub_snapshots_;
   bool scrubbed_ = false;
 

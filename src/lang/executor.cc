@@ -15,6 +15,10 @@
 namespace structura::lang {
 namespace {
 
+/// Documents per morsel in the parallel EXTRACT loop, where per-item
+/// cost is an extractor call rather than a row visit.
+constexpr size_t kMorselDocs = 8;
+
 /// Span name per plan node type (string literals: process-lifetime, as
 /// the trace ring requires). Recursive ExecutePlan() calls nest, so a
 /// trace of one query renders as its plan tree.
@@ -139,7 +143,7 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
     return out;
   }
 
-  query::Morsels ms(selected.size(), ctx->exec.morsel_docs);
+  query::Morsels ms(selected.size(), kMorselDocs);
   std::vector<std::vector<query::Row>> parts(ms.count);
   std::vector<size_t> runs(ms.count, 0);
   STRUCTURA_RETURN_IF_ERROR(query::RunMorsels(

@@ -368,18 +368,6 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
     }
   };
   Relation out(out_columns);
-  if (!opts.Parallel()) {
-    std::vector<Row> matches;
-    for (const Row& lrow : left.rows()) {
-      matches.clear();
-      probe(lrow, &matches);
-      for (Row& row : matches) {
-        Status s = out.Append(std::move(row));
-        if (!s.ok()) return s;
-      }
-    }
-    return out;
-  }
   Morsels ms(left.rows().size(), opts.morsel_rows);
   std::vector<std::vector<Row>> parts(ms.count);
   STRUCTURA_RETURN_IF_ERROR(RunMorsels(ms, intr, opts, [&](size_t i) {

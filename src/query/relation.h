@@ -106,9 +106,6 @@ struct ExecutorOptions {
   /// (see above) — serial and parallel runs being compared must use the
   /// same value.
   size_t morsel_rows = 1024;
-  /// Documents per morsel in the EXTRACT loop, where per-item cost is
-  /// an extractor call rather than a row visit.
-  size_t morsel_docs = 8;
   /// ParallelFor grain: morsel-chains re-queue after this many morsels
   /// so serve-path submissions interleave instead of starving.
   size_t grain = 1;

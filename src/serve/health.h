@@ -27,7 +27,7 @@ struct HealthSample {
 };
 
 /// The system's health ledger: named subsystems (ie, query.structured,
-/// query.keyword, storage.wal, storage.segments, serve, …), each fed by
+/// query.keyword, storage.wal, storage.snapshots, serve, …), each fed by
 /// one or more registered signal sources that derive a HealthSample
 /// from existing telemetry (circuit-breaker states, IntegrityCounters,
 /// queue gauges, fault-rate deltas). A subsystem's state is the worst

@@ -234,6 +234,45 @@ TEST_F(SystemFixture, MaterializeAndRecover) {
   EXPECT_GT(table->LiveRowCount(), 50u);
 }
 
+TEST_F(SystemFixture, WorkspaceHoldsOnlyTheStoresItReads) {
+  std::string dir = TempDir("layout");
+  auto ws_or = core::System::Create(core::System::Options{dir});
+  ASSERT_TRUE(ws_or.ok());
+  auto ws = std::move(ws_or).value();
+  ws->RegisterStandardOperators();
+  ASSERT_TRUE(ws->IngestCrawl(docs).ok());
+  auto ran = ws->RunProgram(
+      "CREATE VIEW facts AS EXTRACT infobox FROM pages;"
+      "CREATE VIEW resolved AS RESOLVE ENTITIES FROM facts "
+      "USING levenshtein THRESHOLD 0.95;");
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  ASSERT_TRUE(ws->BuildBeliefsFromView("resolved").ok());
+  ASSERT_TRUE(ws->MaterializeBeliefs("final").ok());
+
+  // Every durable byte has a reader: the final store and the snapshot
+  // journal, nothing else.
+  std::set<std::string> entries;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    entries.insert(e.path().filename().string());
+  }
+  EXPECT_EQ(entries, (std::set<std::string>{"db", "snapshots"}));
+
+  // The scrub verifies exactly those two stores.
+  IntegrityCounters db_scrub;
+  IntegrityCounters snapshot_scrub;
+  ASSERT_TRUE(ws->database()->Scrub(&db_scrub).ok());
+  ASSERT_TRUE(ws->snapshots().Scrub(&snapshot_scrub).ok());
+  EXPECT_GT(db_scrub.records_verified, 0u);
+  EXPECT_EQ(snapshot_scrub.records_verified, docs.size());
+  auto scrub = ws->ScrubStorage();
+  ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
+  EXPECT_FALSE(scrub->AnyDamage());
+  EXPECT_EQ(scrub->records_verified,
+            db_scrub.records_verified + snapshot_scrub.records_verified);
+  ws.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(SystemFixture, AuditFlagsInjectedCorruption) {
   ASSERT_TRUE(
       sys->RunProgram(

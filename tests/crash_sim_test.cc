@@ -1,6 +1,7 @@
 // Deterministic crash simulation: a seeded workload drives the full
-// System (DDL + transactions + checkpoints + snapshot ingest + segment
-// appends) over a SimulatedEnv, power is cut at every sync boundary
+// System (DDL + transactions + checkpoints + snapshot ingest) plus a
+// segment log of its own (appends + fsyncs) over one SimulatedEnv,
+// power is cut at every sync boundary
 // (and at randomized mid-write points in the long sweep), the machine
 // "reboots" into a fresh System over the surviving bytes, and an
 // oracle checks the durability contract:
@@ -39,6 +40,7 @@
 #include "rdbms/value.h"
 #include "rdbms/wal.h"
 #include "serve/circuit_breaker.h"
+#include "storage/segment_store.h"
 #include "storage/snapshot_store.h"
 
 namespace structura {
@@ -106,6 +108,12 @@ TableSchema KvSchema() {
   return schema;
 }
 
+/// Where the workload keeps its segment log, beside the System's own
+/// stores in the same workspace.
+std::string SegmentDir(const std::string& dir) {
+  return dir + "/intermediate";
+}
+
 // ------------------------------------------------------- the workload
 
 /// What the workload was *promised*: the durable-acked state the crash
@@ -136,10 +144,10 @@ struct DurableModel {
 
 constexpr int kWorkloadOps = 220;
 
-/// Runs the seeded workload against a fresh System on `dir` through
-/// `env`. Returns the durable-acked model; once the simulated power
-/// dies mid-run every later call simply refuses, which the driver
-/// records like any other refusal.
+/// Runs the seeded workload against a fresh System and segment log on
+/// `dir` through `env`. Returns the durable-acked model; once the
+/// simulated power dies mid-run every later call simply refuses, which
+/// the model records like any other refusal.
 DurableModel RunWorkload(const std::string& dir, SimulatedEnv* env,
                          Clock* clock, uint64_t seed) {
   DurableModel m;
@@ -150,6 +158,10 @@ DurableModel RunWorkload(const std::string& dir, SimulatedEnv* env,
   auto sys = core::System::Create(opts);
   if (!sys.ok()) return m;
   Database* db = (*sys)->database();
+  storage::SegmentStore::Options seg_options;
+  seg_options.env = env;
+  auto segs = storage::SegmentStore::Open(SegmentDir(dir), seg_options);
+  if (!segs.ok()) return m;
 
   if (db->CreateTable(KvSchema()).ok()) m.kv_created = true;
   ++m.ops_attempted;
@@ -166,7 +178,7 @@ DurableModel RunWorkload(const std::string& dir, SimulatedEnv* env,
     }
   };
   auto seg_sync = [&] {
-    if ((*sys)->intermediate_store()->Sync().ok()) {
+    if ((*segs)->Sync().ok()) {
       m.seg_durable.insert(m.seg_durable.end(), m.seg_pending.begin(),
                            m.seg_pending.end());
       m.seg_pending.clear();
@@ -238,9 +250,9 @@ DurableModel RunWorkload(const std::string& dir, SimulatedEnv* env,
       if (ver.ok()) m.snap_pending[page][*ver] = content;
       snap_sync();
     } else if (pick < 92) {
-      // Intermediate segment record + fsync.
+      // Segment record + fsync.
       const std::string rec = "seg-record-" + std::to_string(i);
-      if ((*sys)->intermediate_store()->Append(rec).ok()) {
+      if ((*segs)->Append(rec).ok()) {
         m.seg_pending.push_back(rec);
       }
       seg_sync();
@@ -260,8 +272,9 @@ DurableModel RunWorkload(const std::string& dir, SimulatedEnv* env,
 
 // --------------------------------------------------------- the oracle
 
-/// Reopens a fresh System over the post-crash bytes (real env, real
-/// clock) and checks the recovered state against the durable model.
+/// Reopens a fresh System and segment log over the post-crash bytes
+/// (real env, real clock) and checks the recovered state against the
+/// durable model.
 /// `strict` means the crash dropped every unsynced byte, so recovery
 /// must match the model *exactly*; otherwise unsynced tails may have
 /// survived and only the one-sided guarantees are checked.
@@ -337,7 +350,10 @@ void VerifyRecovered(const std::string& dir, const DurableModel& m,
   }
 
   // Segments: the durable-acked records are an exact prefix.
-  storage::SegmentStore* segs = (*sys)->intermediate_store();
+  auto seg_store = storage::SegmentStore::Open(SegmentDir(dir));
+  ASSERT_TRUE(seg_store.ok())
+      << "segment recovery failed: " << seg_store.status().ToString();
+  storage::SegmentStore* segs = seg_store->get();
   ASSERT_GE(segs->NumRecords(), m.seg_durable.size());
   if (strict) {
     EXPECT_EQ(segs->NumRecords(), m.seg_durable.size());

@@ -140,6 +140,17 @@ std::vector<AggSpec> AllAggs() {
           AggSpec{AggFn::kMax, "s", "max_s"}};
 }
 
+/// Build side for the join cases: one row per group of RandomRelation.
+Relation GroupTags() {
+  Relation right({"g", "tag"});
+  for (int i = 0; i < 8; ++i) {
+    right.Append({Value::Str("g" + std::to_string(i)),
+                  Value::Str("tag" + std::to_string(i))})
+        .ok();
+  }
+  return right;
+}
+
 /// Runs one operator pipeline at the given options and returns every
 /// intermediate, so mismatches localize to the operator that diverged.
 struct PipelineOut {
@@ -167,12 +178,7 @@ Result<PipelineOut> RunPipeline(const Relation& in, const Relation& right,
 TEST(ParallelExecTest, OperatorsMatchSerialAtEveryParallelism) {
   std::mt19937_64 rng(4242);
   Relation in = RandomRelation(rng, 3000);
-  Relation right({"g", "tag"});
-  for (int i = 0; i < 8; ++i) {
-    right.Append({Value::Str("g" + std::to_string(i)),
-                  Value::Str("tag" + std::to_string(i))})
-        .ok();
-  }
+  Relation right = GroupTags();
   std::vector<Condition> conds = RandomConditions(rng);
   for (size_t morsel : {size_t{64}, size_t{1024}}) {
     auto serial = RunPipeline(in, right, conds, Interrupt{},
@@ -228,6 +234,7 @@ Relation BigRelation(size_t rows) {
 
 TEST(ParallelExecTest, ExpiredDeadlineRefusesOnEveryPath) {
   Relation in = BigRelation(4096);
+  Relation right = GroupTags();
   Interrupt expired;
   expired.deadline = Deadline::AfterNanos(-1);
   for (size_t par : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -238,11 +245,15 @@ TEST(ParallelExecTest, ExpiredDeadlineRefusesOnEveryPath) {
     auto a = Aggregate(in, {"g"}, AllAggs(), expired, Opts(par, 64));
     ASSERT_FALSE(a.ok()) << "par=" << par;
     EXPECT_EQ(a.status().code(), StatusCode::kDeadlineExceeded);
+    auto j = HashJoin(in, right, "g", "g", "r_", expired, Opts(par, 64));
+    ASSERT_FALSE(j.ok()) << "par=" << par;
+    EXPECT_EQ(j.status().code(), StatusCode::kDeadlineExceeded);
   }
 }
 
 TEST(ParallelExecTest, CancellationRefusesOnEveryPath) {
   Relation in = BigRelation(4096);
+  Relation right = GroupTags();
   CancellationSource source;
   source.Cancel();
   Interrupt cancelled;
@@ -251,6 +262,9 @@ TEST(ParallelExecTest, CancellationRefusesOnEveryPath) {
     auto r = Project(in, {"g", "x"}, cancelled, Opts(par, 64));
     ASSERT_FALSE(r.ok()) << "par=" << par;
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    auto j = HashJoin(in, right, "g", "g", "r_", cancelled, Opts(par, 64));
+    ASSERT_FALSE(j.ok()) << "par=" << par;
+    EXPECT_EQ(j.status().code(), StatusCode::kCancelled);
   }
 }
 
@@ -327,12 +341,7 @@ TEST(ParallelExecTest, EndToEndSystemMatchesSerial) {
 TEST(ParallelSweepTest, RandomPlanDifferential) {
   const uint64_t base_seed = EnvU64("STRUCTURA_PARALLEL_SEED", 20260808);
   const uint64_t iters = EnvU64("STRUCTURA_PARALLEL_ITERS", 1000);
-  Relation right({"g", "tag"});
-  for (int i = 0; i < 8; ++i) {
-    right.Append({Value::Str("g" + std::to_string(i)),
-                  Value::Str("tag" + std::to_string(i))})
-        .ok();
-  }
+  Relation right = GroupTags();
   static const size_t kMorsels[] = {1, 7, 64, 1024};
   for (uint64_t iter = 0; iter < iters; ++iter) {
     uint64_t seed = base_seed + iter;

@@ -425,11 +425,12 @@ TEST(IntegritySweepTest, SystemScrubStorageSurfacesCountersInStatus) {
   EXPECT_GT(clean->records_verified, 0u);
   EXPECT_FALSE(clean->AnyDamage());
 
-  // Inject bit-rot into the intermediate segment log, then scrub again.
-  ASSERT_NE((*sys)->intermediate_store(), nullptr);
+  // Inject bit-rot into the snapshot store through a second crawl of
+  // the page (its stored delta is damaged), then scrub again.
+  docs.docs[0].text = "Madison has a population of 269,840.";
   {
-    ScopedFailpoint fp("segment.record", FpSpec::FlipByteAt(1, 23));
-    ASSERT_TRUE((*sys)->intermediate_store()->Append("belief\trecord").ok());
+    ScopedFailpoint fp("snapshot.delta", FpSpec::FlipByteAt(1, 2));
+    ASSERT_TRUE((*sys)->IngestCrawl(docs).ok());
   }
   auto scrub = (*sys)->ScrubStorage();
   ASSERT_TRUE(scrub.ok());

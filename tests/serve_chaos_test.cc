@@ -1336,10 +1336,10 @@ TEST(ServeChaosTest, MixedPriorityBrownoutShedsLowerTiersFirst) {
   std::filesystem::remove_all(sopts.workspace);
 }
 
-// Deterministic self-healing: tear the intermediate segment log's tail,
-// reopen, and let the watchdog notice (degraded), auto-scrub, and
-// promote the subsystem back to healthy — no operator in the loop.
-TEST(ServeChaosTest, WatchdogAutoScrubHealsTornSegmentTail) {
+// Deterministic self-healing: tear the snapshot journal's tail, reopen,
+// and let the watchdog notice (degraded), auto-scrub, and promote the
+// subsystem back to healthy — no operator in the loop.
+TEST(ServeChaosTest, WatchdogAutoScrubHealsTornSnapshotJournalTail) {
   corpus::CorpusOptions copts;
   copts.num_cities = 6;
   copts.num_people = 6;
@@ -1361,16 +1361,16 @@ TEST(ServeChaosTest, WatchdogAutoScrubHealsTornSegmentTail) {
         sys->RunProgram("CREATE VIEW facts AS EXTRACT infobox FROM pages;")
             .ok());
     ASSERT_TRUE(sys->BuildBeliefsFromView("facts").ok());
-    // Feeds the intermediate segment log (the torn-tail victim below).
     ASSERT_TRUE(sys->MaterializeBeliefs("beliefs_out").ok());
   }  // clean shutdown: everything flushed
 
   // A crash mid-append: garbage after the last valid frame, too short
   // to even be a frame header.
-  const std::string seg0 = sopts.workspace + "/intermediate/seg-000000.log";
-  ASSERT_TRUE(std::filesystem::exists(seg0));
+  const std::string journal =
+      sopts.workspace + "/snapshots/snapshots.journal";
+  ASSERT_TRUE(std::filesystem::exists(journal));
   {
-    std::ofstream out(seg0, std::ios::binary | std::ios::app);
+    std::ofstream out(journal, std::ios::binary | std::ios::app);
     out << "TORNTAIL";
   }
 
@@ -1378,11 +1378,11 @@ TEST(ServeChaosTest, WatchdogAutoScrubHealsTornSegmentTail) {
   ASSERT_TRUE(sys_or.ok()) << sys_or.status().ToString();
   std::unique_ptr<core::System> sys = std::move(sys_or).value();
   // Reopen recovery spotted (and truncated) the torn tail...
-  ASSERT_NE(sys->intermediate_store(), nullptr);
-  EXPECT_GT(sys->intermediate_store()->recovery_report().torn_tail_bytes, 0u);
-  // ...so the first health evaluation demotes storage.segments.
+  EXPECT_GT(sys->snapshots().recovery_report().torn_tail_bytes, 0u);
+  // ...so the first health evaluation demotes storage.snapshots.
   sys->health().Evaluate();
-  ASSERT_EQ(sys->health().StateOf("storage.segments"), HealthState::kDegraded)
+  ASSERT_EQ(sys->health().StateOf("storage.snapshots"),
+            HealthState::kDegraded)
       << sys->health().ToJson();
 
   core::System::WatchdogOptions wopts;
@@ -1390,20 +1390,20 @@ TEST(ServeChaosTest, WatchdogAutoScrubHealsTornSegmentTail) {
   wopts.scrub_cooldown_ms = 20;
   sys->StartWatchdog(wopts);
 
-  // The watchdog auto-scrubs (the truncated log verifies clean) and the
-  // promote-slow streak walks the subsystem back to healthy.
-  HealthState state = sys->health().StateOf("storage.segments");
+  // The watchdog auto-scrubs (the truncated journal replayed clean) and
+  // the promote-slow streak walks the subsystem back to healthy.
+  HealthState state = sys->health().StateOf("storage.snapshots");
   for (int attempt = 0; attempt < 400 && state != HealthState::kHealthy;
        ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    state = sys->health().StateOf("storage.segments");
+    state = sys->health().StateOf("storage.snapshots");
   }
   EXPECT_EQ(state, HealthState::kHealthy) << sys->HealthJson();
   EXPECT_GE(sys->WatchdogAutoScrubs(), 1u);
   EXPECT_EQ(sys->health().Overall(), HealthState::kHealthy)
       << sys->HealthJson();
   std::string json = sys->HealthJson();
-  EXPECT_NE(json.find("\"storage.segments\":{\"state\":\"healthy\""),
+  EXPECT_NE(json.find("\"storage.snapshots\":{\"state\":\"healthy\""),
             std::string::npos)
       << json;
 
