@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "obs/flight_recorder.h"
 #include "query/relation.h"
 #include "query/result_cache.h"
 #include "query/structured_query.h"
@@ -122,9 +121,7 @@ void BM_CacheWarmHit(benchmark::State& state) {
   QueryResultCache cache;
   auto cold = query::ExecuteStructuredQuery(q, facts);
   if (!cold.ok()) std::abort();
-  obs::CostVector cost;
-  cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] = 1000000;
-  cache.Insert("q", cache.epochs().Snapshot({"view:facts"}), *cold, cost);
+  cache.Insert("q", cache.epochs().Snapshot({"view:facts"}), *cold);
   for (auto _ : state) {
     auto hit = cache.Lookup("q");
     if (!hit.has_value()) std::abort();
@@ -141,8 +138,6 @@ void BM_CacheInvalidationStorm(benchmark::State& state) {
   q.group_by = {"g"};
   q.aggregates = {AggSpec{AggFn::kCount, "", "cnt"}};
   QueryResultCache cache;
-  obs::CostVector cost;
-  cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] = 1000000;
   for (auto _ : state) {
     cache.epochs().Bump("view:facts");
     EpochVector at = cache.epochs().Snapshot({"view:facts"});
@@ -151,7 +146,7 @@ void BM_CacheInvalidationStorm(benchmark::State& state) {
     }
     auto out = query::ExecuteStructuredQuery(q, facts);
     if (!out.ok()) std::abort();
-    cache.Insert("q", std::move(at), std::move(*out), cost);
+    cache.Insert("q", std::move(at), std::move(*out));
   }
 }
 BENCHMARK(BM_CacheInvalidationStorm)->Unit(benchmark::kMicrosecond);

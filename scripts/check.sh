@@ -72,6 +72,15 @@ echo "==> entity-resolution oracle sweep"
 STRUCTURA_ORACLE_ITERS="${STRUCTURA_ORACLE_ITERS:-2000}" \
   ctest --test-dir "$repo_root/build" --output-on-failure -L oracle
 
+echo "==> end-to-end benchmark answer checks (dgebench)"
+# One short seed of each workload. run.py builds the benchmark from
+# src/ (into .bench_build/ at the repo root) and exits non-zero on any
+# wrong answer, so a change that breaks the DGE loop fails here.
+for workload in generate collab; do
+  python3 "$repo_root/dgebench/run.py" --workload "$workload" --seed 7 \
+    --seconds 1
+done
+
 echo "==> address+undefined sanitizer build + tests"
 run_suite "$repo_root/build-asan" -DSTRUCTURA_SANITIZE=address,undefined
 

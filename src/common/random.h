@@ -61,10 +61,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator; useful to give parallel tasks
-  /// their own deterministic streams.
-  Rng Fork() { return Rng(Next()); }
-
  private:
   uint64_t state_;
 };

@@ -272,8 +272,10 @@ Status System::HealStorage() {
       // WAL never diverges from what memory already holds.
       STRUCTURA_RETURN_IF_ERROR(db_->Checkpoint());
     }
-    if (snapshots_.Failed()) {
+    if (snapshots_.Failed() || JournalDamaged()) {
       STRUCTURA_RETURN_IF_ERROR(snapshots_.ReopenJournal());
+      std::lock_guard<std::mutex> lock(scrub_mutex_);
+      journal_damaged_ = false;
     }
     return Status::OK();
   }();
@@ -282,6 +284,11 @@ Status System::HealStorage() {
                    obs::EventCode::kWatchdogHeal, result.ok() ? 0 : 1, 0, 0,
                    "heal storage");
   return result;
+}
+
+bool System::JournalDamaged() const {
+  std::lock_guard<std::mutex> lock(scrub_mutex_);
+  return journal_damaged_;
 }
 
 void System::StartWatchdog(WatchdogOptions options) {
@@ -367,7 +374,8 @@ void System::WatchdogLoop() {
       MaybeIncident("slow_request");
     }
     if (watchdog_options_.auto_heal &&
-        health_.StateOf("storage.disk") != serve::HealthState::kHealthy) {
+        (health_.StateOf("storage.disk") != serve::HealthState::kHealthy ||
+         JournalDamaged())) {
       int64_t now = clk->NowNanos();
       if (last_auto_heal < 0 ||
           now - last_auto_heal >=
@@ -982,8 +990,10 @@ Result<IntegrityCounters> System::ScrubStorage() {
   // snapshot-journal trouble.
   IntegrityCounters db_counters;
   IntegrityCounters snapshot_counters;
+  bool journal_damaged = false;
   STRUCTURA_RETURN_IF_ERROR(db_->Scrub(&db_counters));
-  STRUCTURA_RETURN_IF_ERROR(snapshots_.Scrub(&snapshot_counters));
+  STRUCTURA_RETURN_IF_ERROR(
+      snapshots_.Scrub(&snapshot_counters, &journal_damaged));
   IntegrityCounters counters = db_counters;
   counters.Merge(snapshot_counters);
   {
@@ -992,6 +1002,7 @@ Result<IntegrityCounters> System::ScrubStorage() {
     last_scrub_snapshots_ = snapshot_counters;
     last_scrub_ = counters;
     scrubbed_ = true;
+    journal_damaged_ = journal_damaged;
   }
   scrubs->Increment();
   last_scrub_nanos_.store(clock()->NowNanos());
@@ -1010,7 +1021,7 @@ std::vector<query::SearchHit> System::KeywordSearch(const std::string& q,
 
 Result<std::vector<query::SearchHit>> System::KeywordSearch(
     const std::string& q, size_t k, const Interrupt& intr) const {
-  return keyword_index_.Search(q, k, intr, ctx_.exec);
+  return keyword_index_.Search(q, k, intr);
 }
 
 std::vector<query::QueryForm> System::SuggestQueries(
@@ -1036,41 +1047,6 @@ Result<std::vector<query::SearchHit>> System::HybridSearch(
   hq.keywords = keywords;
   hq.structured = conditions;
   return query::HybridSearch(keyword_index_, *rel, hq, k, intr, ctx_.exec);
-}
-
-Result<query::HybridAnswer> System::HybridSearchDegraded(
-    const std::string& keywords,
-    const std::vector<query::Condition>& conditions, size_t k,
-    const Interrupt& intr) const {
-  const query::Relation* rel = View(fact_view_);
-  query::HybridFallback fb;
-  if (rel == nullptr) {
-    fb.structured_available = false;
-    fb.structured_reason = "no fact view bound";
-  }
-  // Health-driven rungs: a side whose subsystem is not healthy is
-  // skipped up front instead of discovered broken mid-query.
-  if (serve::HealthState s = health_.StateOf("query.structured");
-      s != serve::HealthState::kHealthy) {
-    fb.structured_available = false;
-    fb.structured_reason = std::string("query.structured ") +
-                           serve::HealthStateName(s) + ": " +
-                           health_.ReasonOf("query.structured");
-  }
-  if (serve::HealthState s = health_.StateOf("query.keyword");
-      s != serve::HealthState::kHealthy) {
-    fb.keyword_available = false;
-    fb.keyword_reason = std::string("query.keyword ") +
-                        serve::HealthStateName(s) + ": " +
-                        health_.ReasonOf("query.keyword");
-  }
-  query::HybridQuery hq;
-  hq.keywords = keywords;
-  hq.structured = conditions;
-  static const query::Relation kEmptyFacts;
-  return query::HybridSearchDegradable(
-      keyword_index_, rel != nullptr ? *rel : kEmptyFacts, hq, k, fb, intr,
-      ctx_.exec);
 }
 
 Result<query::Relation> System::RunForm(const query::QueryForm& form,

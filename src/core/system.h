@@ -188,9 +188,9 @@ class System {
   rdbms::Database* database() { return db_.get(); }
 
   /// Re-reads and re-verifies every byte of persistent storage — the
-  /// final store's checkpoint and WAL, and every snapshot version — and
-  /// returns what it found. The result is also remembered and surfaced
-  /// in StatusReport().
+  /// final store's checkpoint and WAL, every snapshot version and the
+  /// snapshot journal file — and returns what it found. The result is
+  /// also remembered and surfaced in StatusReport().
   Result<IntegrityCounters> ScrubStorage();
 
   // --- Health & self-healing -------------------------------------------
@@ -208,12 +208,14 @@ class System {
   /// probes the workspace with a real write+fsync first (a dead disk
   /// returns its error and heals nothing), then checkpoints the
   /// database (giving the WAL a fresh handle) and rewrites the snapshot
-  /// journal from memory. Idempotent; the watchdog calls this
-  /// automatically. Safe under live transactional traffic: the heal
-  /// checkpoint quiesces writers itself (Database::Checkpoint takes
-  /// shared table locks), so it cannot persist another transaction's
-  /// uncommitted rows. Snapshot ingest, as ever, must not race the
-  /// journal rewrite.
+  /// journal from memory — when its handle failed, or when the latest
+  /// ScrubStorage() found the journal file damaged (a restart would
+  /// drop every page version past the damage). Idempotent; the watchdog
+  /// calls this automatically. Safe under live transactional traffic:
+  /// the heal checkpoint quiesces writers itself (Database::Checkpoint
+  /// takes shared table locks), so it cannot persist another
+  /// transaction's uncommitted rows. Snapshot ingest, as ever, must not
+  /// race the journal rewrite.
   Status HealStorage();
 
   /// The system's health ledger. Built-in signals (registered at
@@ -242,11 +244,12 @@ class System {
     /// Assumes ingest is quiesced while the watchdog runs (snapshot
     /// appends are not locked against the scrubber).
     bool auto_scrub = true;
-    /// When true, an unhealthy `storage.disk` signal triggers
+    /// When true, an unhealthy `storage.disk` signal, or a latest scrub
+    /// that found the snapshot journal file damaged, triggers
     /// HealStorage() — probe the disk, and once it accepts writes
-    /// again, give every latched-failed sink a fresh handle. Paired
-    /// with its own cooldown so a still-dead disk is probed, not
-    /// hammered.
+    /// again, give every latched-failed sink a fresh handle and rewrite
+    /// a damaged journal. Paired with its own cooldown so a still-dead
+    /// disk is probed, not hammered.
     bool auto_heal = true;
     uint64_t heal_cooldown_ms = 200;
     /// When true (and the system has an incident directory), the
@@ -313,17 +316,6 @@ class System {
   /// the view last passed to BuildBeliefsFromView). `intr` is polled
   /// through both sides.
   Result<std::vector<query::SearchHit>> HybridSearch(
-      const std::string& keywords,
-      const std::vector<query::Condition>& conditions, size_t k,
-      const Interrupt& intr = Interrupt{}) const;
-
-  /// HybridSearch through the fallback ladder: consults the health
-  /// model (`query.structured` / `query.keyword`) to skip an unhealthy
-  /// side up front, and degrades at runtime when a side fails with
-  /// infrastructure trouble. A missing fact view no longer refuses the
-  /// query — it degrades to keyword-only. The answer carries the
-  /// explicit degraded flag + reason; both sides down → kUnavailable.
-  Result<query::HybridAnswer> HybridSearchDegraded(
       const std::string& keywords,
       const std::vector<query::Condition>& conditions, size_t k,
       const Interrupt& intr = Interrupt{}) const;
@@ -408,6 +400,8 @@ class System {
   /// Sets the `integrity.<pass>.<field>` gauges, one per field.
   void PublishIntegrity(const std::string& pass,
                         const IntegrityCounters& counters);
+  /// journal_damaged_, read under scrub_mutex_.
+  bool JournalDamaged() const;
   /// The watchdog thread body.
   void WatchdogLoop();
   /// Dumps an incident bundle for `trigger` if incidents are enabled
@@ -445,6 +439,9 @@ class System {
   IntegrityCounters last_scrub_db_;
   IntegrityCounters last_scrub_snapshots_;
   bool scrubbed_ = false;
+  /// The last scrub found the snapshot journal file damaged, and no
+  /// HealStorage() has rewritten it since.
+  bool journal_damaged_ = false;
 
   /// Health ledger + self-healing watchdog. health_ must outlive every
   /// registrant: the built-in signals detach-never (they die with the

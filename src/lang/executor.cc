@@ -15,8 +15,8 @@
 namespace structura::lang {
 namespace {
 
-/// Documents per morsel in the parallel EXTRACT loop, where per-item
-/// cost is an extractor call rather than a row visit.
+/// Documents per morsel in the EXTRACT loop, where per-item cost is an
+/// extractor call rather than a row visit.
 constexpr size_t kMorselDocs = 8;
 
 /// Span name per plan node type (string literals: process-lifetime, as
@@ -37,6 +37,12 @@ const char* PlanSpanName(PlanNode::Type t) {
     case PlanNode::Type::kLimit: return "query.eval.limit";
   }
   return "query.eval.unknown";
+}
+
+obs::Counter* PlanNodesCounter() {
+  static obs::Counter* nodes =
+      obs::MetricsRegistry::Default().GetCounter("query.eval.nodes");
+  return nodes;
 }
 
 const std::vector<std::string>& ExtractionColumns() {
@@ -70,9 +76,10 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
   std::set<text::DocId> restriction(plan.children[0]->doc_restriction.begin(),
                                     plan.children[0]->doc_restriction.end());
   // Select the docs to extract from up front (cheap, serial); the
-  // expensive extractor work then runs per-doc, morsel-parallel when
-  // the context says so, with per-morsel row buffers merged in doc
-  // order so output order matches the serial path exactly.
+  // expensive extractor work then runs a morsel of documents at a time
+  // through RunMorsels (inline at parallelism 1, on the pool otherwise),
+  // with per-morsel row buffers merged in doc order, so output order
+  // does not depend on parallelism.
   std::vector<size_t> selected;
   for (size_t d = 0; d < ctx->docs->docs.size(); ++d) {
     const text::Document& doc = ctx->docs->docs[d];
@@ -128,21 +135,6 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
     }
   };
 
-  query::Relation out(ExtractionColumns());
-  if (!ctx->exec.Parallel() || selected.size() <= 1) {
-    std::vector<query::Row> rows;
-    for (size_t d : selected) {
-      STRUCTURA_RETURN_IF_ERROR(ctx->interrupt.Check());
-      ++ctx->docs_scanned;
-      rows.clear();
-      extract_doc(ctx->docs->docs[d], &rows, &ctx->extractor_runs);
-      for (query::Row& row : rows) {
-        STRUCTURA_RETURN_IF_ERROR(out.Append(std::move(row)));
-      }
-    }
-    return out;
-  }
-
   query::Morsels ms(selected.size(), kMorselDocs);
   std::vector<std::vector<query::Row>> parts(ms.count);
   std::vector<size_t> runs(ms.count, 0);
@@ -154,6 +146,7 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
         return Status::OK();
       }));
   ctx->docs_scanned += selected.size();
+  query::Relation out(ExtractionColumns());
   for (size_t m = 0; m < ms.count; ++m) {
     ctx->extractor_runs += runs[m];
     for (query::Row& row : parts[m]) {
@@ -258,6 +251,30 @@ Result<query::Relation> ExecuteResolve(const PlanNode& plan,
   return out;
 }
 
+/// The stored relation a view reference names.
+Result<const query::Relation*> StoredView(const PlanNode& plan,
+                                          ExecutionContext* ctx) {
+  auto it = ctx->views.find(plan.view);
+  if (it == ctx->views.end()) {
+    return Status::NotFound("unknown view: " + plan.view);
+  }
+  return &it->second;
+}
+
+/// An operator's input. A view reference is read in place, under its
+/// own span and node count; any other child executes into `*owned`.
+Result<const query::Relation*> Input(const PlanNode& child,
+                                     ExecutionContext* ctx,
+                                     query::Relation* owned) {
+  if (child.type == PlanNode::Type::kViewRef) {
+    obs::ScopedSpan span(PlanSpanName(child.type));
+    PlanNodesCounter()->Increment();
+    return StoredView(child, ctx);
+  }
+  STRUCTURA_ASSIGN_OR_RETURN(*owned, ExecutePlan(child, ctx));
+  return owned;
+}
+
 /// Caching policy: only plans made of pure relational nodes are
 /// cacheable. Extraction mutates quarantine/fault bookkeeping (its
 /// results depend on state no epoch tracks) and RESOLVE can consult a
@@ -283,65 +300,67 @@ bool PlanIsCacheable(const PlanNode& plan) {
 Result<query::Relation> ExecutePlan(const PlanNode& plan,
                                     ExecutionContext* ctx) {
   obs::ScopedSpan span(PlanSpanName(plan.type));
-  static obs::Counter* nodes =
-      obs::MetricsRegistry::Default().GetCounter("query.eval.nodes");
-  nodes->Increment();
+  PlanNodesCounter()->Increment();
+  // Every operator below reads its input through Input(): a stored view
+  // in place, anything else from the child's own execution.
+  query::Relation owned;
   switch (plan.type) {
     case PlanNode::Type::kScanDocs:
       return Status::Internal("ScanDocs cannot execute standalone");
     case PlanNode::Type::kExtract:
       return ExecuteExtract(plan, ctx);
     case PlanNode::Type::kViewRef: {
-      auto it = ctx->views.find(plan.view);
-      if (it == ctx->views.end()) {
-        return Status::NotFound("unknown view: " + plan.view);
-      }
-      return it->second;
+      // A bare view reference hands back a copy the caller owns.
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* view,
+                                 StoredView(plan, ctx));
+      return *view;
     }
     case PlanNode::Type::kFilter: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Filter(in, plan.conditions, ctx->interrupt, ctx->exec);
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return query::Filter(*in, plan.conditions, ctx->interrupt, ctx->exec);
     }
     case PlanNode::Type::kProject: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Project(in, plan.columns, ctx->interrupt, ctx->exec);
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return query::Project(*in, plan.columns, ctx->interrupt, ctx->exec);
     }
     case PlanNode::Type::kJoin: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation left,
-                                 ExecutePlan(*plan.children[0], ctx));
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation right,
-                                 ExecutePlan(*plan.children[1], ctx));
-      return query::HashJoin(left, right, plan.join_left_col,
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* left,
+                                 Input(*plan.children[0], ctx, &owned));
+      query::Relation owned_right;
+      STRUCTURA_ASSIGN_OR_RETURN(
+          const query::Relation* right,
+          Input(*plan.children[1], ctx, &owned_right));
+      return query::HashJoin(*left, *right, plan.join_left_col,
                              plan.join_right_col, "r_", ctx->interrupt,
                              ctx->exec);
     }
     case PlanNode::Type::kDistinct: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Distinct(in);
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return query::Distinct(*in);
     }
     case PlanNode::Type::kAggregate: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Aggregate(in, plan.columns, plan.aggs, ctx->interrupt,
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return query::Aggregate(*in, plan.columns, plan.aggs, ctx->interrupt,
                               ctx->exec);
     }
     case PlanNode::Type::kResolve: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return ExecuteResolve(plan, ctx, in);
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return ExecuteResolve(plan, ctx, *in);
     }
     case PlanNode::Type::kOrderBy: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::OrderBy(in, plan.order_column, plan.descending);
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return query::OrderBy(*in, plan.order_column, plan.descending);
     }
     case PlanNode::Type::kLimit: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Limit(in, plan.limit);
+      STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* in,
+                                 Input(*plan.children[0], ctx, &owned));
+      return query::Limit(*in, plan.limit);
     }
   }
   return Status::Internal("unknown plan node");

@@ -28,20 +28,6 @@ Result<std::set<int64_t>> QualifyingDocs(const Relation& facts,
   return doc_ids;
 }
 
-/// True when a side's failure should degrade the ladder rather than
-/// fail the whole query. Interrupt statuses and caller mistakes are the
-/// caller's problem; infrastructure trouble is ours to absorb.
-bool DegradableError(const Status& s) {
-  switch (s.code()) {
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kCancelled:
-    case StatusCode::kInvalidArgument:
-      return false;
-    default:
-      return true;
-  }
-}
-
 }  // namespace
 
 Result<std::vector<SearchHit>> HybridSearch(const KeywordIndex& index,
@@ -65,7 +51,7 @@ Result<std::vector<SearchHit>> HybridSearch(const KeywordIndex& index,
   // filtering still leaves k results when possible.
   STRUCTURA_ASSIGN_OR_RETURN(
       std::vector<SearchHit> hits,
-      index.Search(query.keywords, k * 10 + 50, intr, opts));
+      index.Search(query.keywords, k * 10 + 50, intr));
   std::vector<SearchHit> out;
   for (const SearchHit& hit : hits) {
     if (doc_ids.count(static_cast<int64_t>(hit.doc)) == 0) continue;
@@ -73,123 +59,6 @@ Result<std::vector<SearchHit>> HybridSearch(const KeywordIndex& index,
     if (out.size() >= k) break;
   }
   return out;
-}
-
-const char* HybridModeName(HybridMode m) {
-  switch (m) {
-    case HybridMode::kFull:
-      return "full";
-    case HybridMode::kKeywordOnly:
-      return "keyword_only";
-    case HybridMode::kStructuredOnly:
-      return "structured_only";
-  }
-  return "?";
-}
-
-Result<HybridAnswer> HybridSearchDegradable(const KeywordIndex& index,
-                                            const Relation& facts,
-                                            const HybridQuery& query, size_t k,
-                                            const HybridFallback& fallback,
-                                            const Interrupt& intr,
-                                            const ExecutorOptions& opts) {
-  TRACE_SPAN("query.hybrid");
-  static obs::Counter* searches =
-      obs::MetricsRegistry::Default().GetCounter("query.hybrid.searches");
-  static obs::Counter* mode_full =
-      obs::MetricsRegistry::Default().GetCounter("query.hybrid.mode.full");
-  static obs::Counter* mode_keyword = obs::MetricsRegistry::Default().GetCounter(
-      "query.hybrid.mode.keyword_only");
-  static obs::Counter* mode_structured =
-      obs::MetricsRegistry::Default().GetCounter(
-          "query.hybrid.mode.structured_only");
-  static obs::Counter* degraded =
-      obs::MetricsRegistry::Default().GetCounter("query.hybrid.degraded");
-  static obs::Counter* refused =
-      obs::MetricsRegistry::Default().GetCounter("query.hybrid.refused");
-  static obs::Histogram* latency = obs::MetricsRegistry::Default().GetHistogram(
-      "query.hybrid.latency_ns");
-  searches->Increment();
-  obs::ScopedLatency record_latency(latency);
-
-  bool structured_ok = fallback.structured_available;
-  bool keyword_ok = fallback.keyword_available;
-  std::string structured_reason = fallback.structured_reason.empty()
-                                      ? "structured side unavailable"
-                                      : fallback.structured_reason;
-  std::string keyword_reason = fallback.keyword_reason.empty()
-                                   ? "keyword side unavailable"
-                                   : fallback.keyword_reason;
-
-  // Rung 1 input: the structured side, dropped (not fatal) when it
-  // fails with infrastructure trouble.
-  std::set<int64_t> doc_ids;
-  bool have_docs = false;
-  if (structured_ok) {
-    Result<std::set<int64_t>> docs =
-        QualifyingDocs(facts, query.structured, intr, opts);
-    if (docs.ok()) {
-      doc_ids = std::move(docs).value();
-      have_docs = true;
-    } else if (!DegradableError(docs.status())) {
-      return docs.status();
-    } else {
-      structured_ok = false;
-      structured_reason = "structured side failed: " + docs.status().message();
-    }
-  }
-
-  // Keyword side: full hybrid when the structured side delivered,
-  // keyword-only otherwise.
-  if (keyword_ok) {
-    Result<std::vector<SearchHit>> hits =
-        index.Search(query.keywords, have_docs ? k * 10 + 50 : k, intr, opts);
-    if (hits.ok()) {
-      HybridAnswer ans;
-      if (have_docs) {
-        ans.mode = HybridMode::kFull;
-        for (const SearchHit& hit : hits.value()) {
-          if (doc_ids.count(static_cast<int64_t>(hit.doc)) == 0) continue;
-          ans.hits.push_back(hit);
-          if (ans.hits.size() >= k) break;
-        }
-        mode_full->Increment();
-      } else {
-        ans.mode = HybridMode::kKeywordOnly;
-        ans.degraded = true;
-        ans.reason = structured_reason;
-        ans.hits = std::move(hits).value();
-        if (ans.hits.size() > k) ans.hits.resize(k);
-        mode_keyword->Increment();
-        degraded->Increment();
-      }
-      return ans;
-    }
-    if (!DegradableError(hits.status())) return hits.status();
-    keyword_ok = false;
-    keyword_reason = "keyword side failed: " + hits.status().message();
-  }
-
-  // Rung 3: structured-only — predicate matches without relevance
-  // ranking (scores are zero; order is document id).
-  if (have_docs) {
-    HybridAnswer ans;
-    ans.mode = HybridMode::kStructuredOnly;
-    ans.degraded = true;
-    ans.reason = keyword_reason;
-    for (int64_t d : doc_ids) {
-      ans.hits.push_back(SearchHit{static_cast<text::DocId>(d), 0.0, ""});
-      if (ans.hits.size() >= k) break;
-    }
-    mode_structured->Increment();
-    degraded->Increment();
-    return ans;
-  }
-
-  // Bottom of the ladder: refuse loudly rather than answer wrongly.
-  refused->Increment();
-  return Status::Unavailable("hybrid refused: " + structured_reason + "; " +
-                             keyword_reason);
 }
 
 }  // namespace structura::query

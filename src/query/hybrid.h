@@ -26,61 +26,10 @@ struct HybridQuery {
 /// by the conditions.
 /// `intr` is polled through both sides (structured filter scan and BM25
 /// scoring); evaluation stops with kDeadlineExceeded / kCancelled.
+/// `opts` applies to the structured filter scan.
 Result<std::vector<SearchHit>> HybridSearch(
     const KeywordIndex& index, const Relation& facts,
     const HybridQuery& query, size_t k,
-    const Interrupt& intr = Interrupt{}, const ExecutorOptions& opts = {});
-
-/// How a degradable hybrid search was actually answered.
-enum class HybridMode {
-  kFull,            // both sides ran: the non-degraded answer
-  kKeywordOnly,     // structured side skipped/failed: BM25 ranking alone
-  kStructuredOnly,  // keyword side skipped/failed: predicate match alone
-};
-
-const char* HybridModeName(HybridMode m);
-
-/// A hybrid answer that knows how it was produced. `degraded` is the
-/// contract with the caller: when true, `hits` came from a reduced
-/// ladder rung (one side of the query was not applied) and `reason`
-/// says why — the serving layer surfaces both instead of passing the
-/// answer off as a full hybrid result.
-struct HybridAnswer {
-  std::vector<SearchHit> hits;
-  HybridMode mode = HybridMode::kFull;
-  bool degraded = false;
-  std::string reason;
-};
-
-/// Caller-supplied availability hints for the fallback ladder —
-/// typically derived from the health model (e.g. `query.structured`
-/// degraded → structured_available=false). Defaults say "both sides
-/// fine".
-struct HybridFallback {
-  bool structured_available = true;
-  bool keyword_available = true;
-  /// Why the side is unavailable; copied into HybridAnswer::reason.
-  std::string structured_reason;
-  std::string keyword_reason;
-};
-
-/// HybridSearch with a fallback ladder instead of all-or-nothing:
-///
-///   full hybrid → keyword-only → structured-only → refuse
-///
-/// A side is skipped when the caller marked it unavailable (health
-/// signal), or dropped at runtime when it fails with a retryable error
-/// (kUnavailable/kCorruption/…). Interrupt statuses (kDeadlineExceeded,
-/// kCancelled) and caller mistakes (kInvalidArgument) propagate — only
-/// infrastructure trouble triggers degradation. When both sides are
-/// down the search refuses with kUnavailable; it never fabricates an
-/// answer silently. Mode counters: `query.hybrid.mode.{full,
-/// keyword_only,structured_only}`, `query.hybrid.degraded`,
-/// `query.hybrid.refused`.
-Result<HybridAnswer> HybridSearchDegradable(
-    const KeywordIndex& index, const Relation& facts,
-    const HybridQuery& query, size_t k,
-    const HybridFallback& fallback = HybridFallback{},
     const Interrupt& intr = Interrupt{}, const ExecutorOptions& opts = {});
 
 }  // namespace structura::query

@@ -37,8 +37,6 @@ void KeywordIndex::Finalize() {
   avg_doc_length_ =
       doc_lengths_.empty() ? 0 : total / static_cast<double>(
                                              doc_lengths_.size());
-  finalized_ = true;
-  ++version_;
 }
 
 std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
@@ -48,8 +46,7 @@ std::vector<SearchHit> KeywordIndex::Search(const std::string& query,
 }
 
 Result<std::vector<SearchHit>> KeywordIndex::Search(
-    const std::string& query, size_t k, const Interrupt& intr,
-    const ExecutorOptions& opts) const {
+    const std::string& query, size_t k, const Interrupt& intr) const {
   TRACE_SPAN("query.keyword");
   static obs::Counter* searches =
       obs::MetricsRegistry::Default().GetCounter("query.keyword.searches");
@@ -57,21 +54,15 @@ Result<std::vector<SearchHit>> KeywordIndex::Search(
       "query.keyword.latency_ns");
   searches->Increment();
   obs::ScopedLatency record_latency(latency);
+  // BM25 parameters: term-frequency saturation and length normalization.
+  constexpr double kK1 = 1.2;
+  constexpr double kB = 0.75;
   // Cooperative check-point cadence: cheap relative to the scoring work
   // between polls, frequent enough to honour millisecond deadlines.
-  // Doubles as the per-chunk unit of the parallel scoring path.
   constexpr size_t kCheckEvery = 4096;
   size_t since_check = 0;
   std::vector<double> scores(doc_ids_.size(), 0.0);
   const double n = static_cast<double>(doc_ids_.size());
-  // Per-posting BM25 contribution — the pure part of the scoring loop.
-  auto contribution = [&](double idf, const Posting& p) {
-    double tf = p.term_freq;
-    double len_norm = 1.0 - options_.b +
-                      options_.b * doc_lengths_[p.doc_index] /
-                          std::max(1.0, avg_doc_length_);
-    return idf * tf * (options_.k1 + 1.0) / (tf + options_.k1 * len_norm);
-  };
   for (const std::string& term : text::WordTokens(query)) {
     STRUCTURA_RETURN_IF_ERROR(intr.Check());
     auto it = postings_.find(term);
@@ -82,34 +73,16 @@ Result<std::vector<SearchHit>> KeywordIndex::Search(
     obs::ChargeCost(obs::CostDim::kRowsScanned, plist.size());
     double df = static_cast<double>(plist.size());
     double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
-    if (opts.Parallel() && plist.size() >= 2 * kCheckEvery) {
-      // Long posting list: compute contributions (pure, per-posting) in
-      // parallel chunks, then apply them serially IN POSTING ORDER —
-      // the same `scores[d] += contribution` sequence the serial loop
-      // performs, so every accumulated bit matches.
-      Morsels chunks(plist.size(), kCheckEvery);
-      std::vector<std::vector<double>> contribs(chunks.count);
-      STRUCTURA_RETURN_IF_ERROR(RunMorsels(chunks, intr, opts, [&](size_t c) {
-        contribs[c].reserve(chunks.end(c) - chunks.begin(c));
-        for (size_t j = chunks.begin(c); j < chunks.end(c); ++j) {
-          contribs[c].push_back(contribution(idf, plist[j]));
-        }
-        return Status::OK();
-      }));
-      for (size_t c = 0; c < chunks.count; ++c) {
-        size_t begin = chunks.begin(c);
-        for (size_t j = 0; j < contribs[c].size(); ++j) {
-          scores[plist[begin + j].doc_index] += contribs[c][j];
-        }
-      }
-      continue;
-    }
     for (const Posting& p : plist) {
       if (++since_check >= kCheckEvery) {
         since_check = 0;
         STRUCTURA_RETURN_IF_ERROR(intr.Check());
       }
-      scores[p.doc_index] += contribution(idf, p);
+      double tf = p.term_freq;
+      double len_norm = 1.0 - kB +
+                        kB * doc_lengths_[p.doc_index] /
+                            std::max(1.0, avg_doc_length_);
+      scores[p.doc_index] += idf * tf * (kK1 + 1.0) / (tf + kK1 * len_norm);
     }
   }
   STRUCTURA_RETURN_IF_ERROR(intr.Check());

@@ -8,7 +8,6 @@
 
 #include "common/cancellation.h"
 #include "common/status.h"
-#include "query/relation.h"
 #include "text/document.h"
 
 namespace structura::query {
@@ -26,41 +25,21 @@ struct SearchHit {
 /// temperatures.
 class KeywordIndex {
  public:
-  struct Options {
-    double k1 = 1.2;
-    double b = 0.75;
-  };
-
-  KeywordIndex() : KeywordIndex(Options()) {}
-  explicit KeywordIndex(Options options) : options_(options) {}
-
   /// Indexes a document (markup stripped, tokens lowercased).
   void AddDocument(const text::Document& doc);
 
-  /// Must be called after the last AddDocument and before Search. Every
-  /// call commits a new index generation (see version()).
+  /// Must be called after the last AddDocument and before Search.
   void Finalize();
-
-  /// Monotonic generation counter, bumped by each Finalize(). The
-  /// System mirrors it into the result cache's "docs" epoch so cached
-  /// results computed against an older index can never be served.
-  uint64_t version() const { return version_; }
 
   /// Top-k BM25 results for a free-text query.
   std::vector<SearchHit> Search(const std::string& query, size_t k) const;
 
   /// Interruptible variant: the scoring loop polls `intr` between terms
   /// and every few thousand postings, returning kDeadlineExceeded /
-  /// kCancelled instead of scoring to completion. When `opts` selects
-  /// the parallel path, long posting lists have their per-posting BM25
-  /// contributions computed in parallel chunks and applied serially in
-  /// posting order — the accumulation order (and therefore every score
-  /// bit) matches the serial path exactly.
-  Result<std::vector<SearchHit>> Search(
-      const std::string& query, size_t k, const Interrupt& intr,
-      const ExecutorOptions& opts = {}) const;
+  /// kCancelled instead of scoring to completion.
+  Result<std::vector<SearchHit>> Search(const std::string& query, size_t k,
+                                        const Interrupt& intr) const;
 
-  size_t NumDocuments() const { return doc_lengths_.size(); }
   size_t VocabularySize() const { return postings_.size(); }
 
  private:
@@ -69,14 +48,11 @@ class KeywordIndex {
     uint32_t term_freq;
   };
 
-  Options options_;
   std::unordered_map<std::string, std::vector<Posting>> postings_;
   std::vector<uint32_t> doc_lengths_;
   std::vector<text::DocId> doc_ids_;
   std::vector<std::string> titles_;
   double avg_doc_length_ = 0;
-  bool finalized_ = false;
-  uint64_t version_ = 0;
 };
 
 /// Builds a result snippet for `doc`: the sentence (markup stripped)

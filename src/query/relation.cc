@@ -133,6 +133,10 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return true;
 }
 
+/// Interrupt cadence of Filter's and Project's serial loops: before the
+/// first row and every kSerialCheckEvery rows after it.
+constexpr size_t kSerialCheckEvery = 512;
+
 }  // namespace
 
 Status RunMorsels(const Morsels& ms, const Interrupt& intr,
@@ -148,7 +152,9 @@ Status RunMorsels(const Morsels& ms, const Interrupt& intr,
   }
   std::vector<Status> status(ms.count);
   ParallelForOptions pf;
-  pf.grain = opts.grain;
+  // Re-queue after every morsel, so work posted to the same pool (the
+  // serve path) interleaves with a long scan instead of waiting it out.
+  pf.grain = 1;
   pf.max_workers = opts.parallelism;
   // Morsels run on pool workers: they adopt the caller's trace and cost
   // context, so their spans and charges land on the calling request.
@@ -245,15 +251,13 @@ Result<Relation> Filter(const Relation& in,
   };
   Relation out(in.columns());
   if (!opts.Parallel()) {
-    constexpr size_t kCheckEvery = 512;
-    size_t since_check = 0;
-    for (const Row& row : in.rows()) {
-      if (++since_check >= kCheckEvery) {
-        since_check = 0;
+    const std::vector<Row>& rows = in.rows();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (r % kSerialCheckEvery == 0) {
         STRUCTURA_RETURN_IF_ERROR(intr.Check());
       }
-      if (keep(row)) {
-        Status s = out.Append(row);
+      if (keep(rows[r])) {
+        Status s = out.Append(rows[r]);
         if (!s.ok()) return s;
       }
     }
@@ -296,14 +300,12 @@ Result<Relation> Project(const Relation& in,
   };
   Relation out(columns);
   if (!opts.Parallel()) {
-    constexpr size_t kCheckEvery = 512;
-    size_t since_check = 0;
-    for (const Row& row : in.rows()) {
-      if (++since_check >= kCheckEvery) {
-        since_check = 0;
+    const std::vector<Row>& rows = in.rows();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (r % kSerialCheckEvery == 0) {
         STRUCTURA_RETURN_IF_ERROR(intr.Check());
       }
-      Status s = out.Append(project(row));
+      Status s = out.Append(project(rows[r]));
       if (!s.ok()) return s;
     }
     return out;

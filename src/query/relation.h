@@ -106,9 +106,6 @@ struct ExecutorOptions {
   /// (see above) — serial and parallel runs being compared must use the
   /// same value.
   size_t morsel_rows = 1024;
-  /// ParallelFor grain: morsel-chains re-queue after this many morsels
-  /// so serve-path submissions interleave instead of starving.
-  size_t grain = 1;
   /// Pool morsels are dispatched on when parallelism > 1. Not owned.
   ThreadPool* pool = nullptr;
 
@@ -141,9 +138,9 @@ Status RunMorsels(const Morsels& ms, const Interrupt& intr,
 // --- Operators (each returns a new Relation) ---------------------------
 
 /// Rows satisfying every condition (conjunction). The scan polls `intr`
-/// every few hundred rows (serial) or between morsels (parallel) and
-/// returns kDeadlineExceeded / kCancelled instead of finishing; the
-/// default interrupt never fires.
+/// before the first row and every few hundred rows after it (serial), or
+/// before each morsel (parallel), and returns kDeadlineExceeded /
+/// kCancelled instead of finishing; the default interrupt never fires.
 Result<Relation> Filter(const Relation& in,
                         const std::vector<Condition>& conditions,
                         const Interrupt& intr = Interrupt{},

@@ -1,9 +1,7 @@
 #include "query/result_cache.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/clock.h"
 #include "obs/trace.h"
 #include "rdbms/value.h"
 
@@ -97,24 +95,16 @@ Result<Relation> QueryResultCache::GetOrCompute(
   if (std::optional<Relation> hit = Lookup(fingerprint)) {
     return std::move(*hit);
   }
-  Clock* clock = Clock::Real();
-  int64_t started_nanos = clock->NowNanos();
   STRUCTURA_ASSIGN_OR_RETURN(Relation out, compute());
-  obs::CostVector cost;
-  cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] =
-      static_cast<uint64_t>(
-          std::max<int64_t>(0, clock->NowNanos() - started_nanos));
-  cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = out.size();
-  Insert(fingerprint, std::move(at), out, cost);
+  Insert(fingerprint, std::move(at), out);
   return out;
 }
 
 void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
-                              Relation result, const obs::CostVector& cost) {
+                              Relation result) {
   TRACE_SPAN("query.cache.insert");
   size_t bytes = ApproxBytes(result);
-  if (cost.Score() < options_.min_cost_score || bytes > options_.max_bytes ||
-      options_.max_entries == 0) {
+  if (bytes > options_.max_bytes || options_.max_entries == 0) {
     std::lock_guard<std::mutex> lock(mutex_);
     rejected_->Increment();
     return;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "query/relation.h"
 
@@ -58,18 +57,15 @@ class EpochMap {
 
 /// Bounded, epoch-validated cache of query results, keyed by canonical
 /// plan fingerprint. Eviction is LRU under both an entry count and a
-/// byte budget; admission is cost-aware (entries cheaper to recompute
-/// than `min_cost_score` are not worth their memory). Its counters and
-/// gauges, query.cache.{hit,miss,evict,inval,reject,bytes,entries}, live
-/// in the cache's own metrics registry (included in the process
-/// registry while the cache lives); stats() reads the same counters.
+/// byte budget. Its counters and gauges,
+/// query.cache.{hit,miss,evict,inval,reject,bytes,entries}, live in the
+/// cache's own metrics registry (included in the process registry while
+/// the cache lives); stats() reads the same counters.
 class QueryResultCache {
  public:
   struct Options {
     size_t max_entries = 1024;
     size_t max_bytes = 8u << 20;
-    /// CostVector::Score() floor for admission; 0 admits everything.
-    uint64_t min_cost_score = 0;
   };
 
   struct Stats {
@@ -77,7 +73,7 @@ class QueryResultCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;      // LRU / budget evictions
     uint64_t invalidations = 0;  // entries dropped on epoch mismatch
-    uint64_t rejected = 0;       // admission refused (cost/size)
+    uint64_t rejected = 0;       // admission refused (size)
     size_t entries = 0;
     size_t bytes = 0;
   };
@@ -99,20 +95,17 @@ class QueryResultCache {
   /// The cached-execution path every caller shares: snapshots the
   /// epochs of `inputs` (before running — see EpochMap::Snapshot), then
   /// serves `fingerprint` from the cache when current, else runs
-  /// `compute` and admits its result at that snapshot. Admission cost is
-  /// compute's elapsed time on the real clock (recomputation costs real
-  /// time, whatever clock the caller runs on) plus the rows it returned.
+  /// `compute` and admits its result at that snapshot.
   Result<Relation> GetOrCompute(
       const std::string& fingerprint, const std::vector<std::string>& inputs,
       const std::function<Result<Relation>()>& compute);
 
   /// Admits `result` under `fingerprint`, recorded at `at` (the epoch
-  /// snapshot taken before execution — see EpochMap::Snapshot). Entries
-  /// below the admission cost floor, or alone bigger than the whole
-  /// byte budget, are rejected. Replaces any previous entry for the
-  /// same fingerprint.
+  /// snapshot taken before execution — see EpochMap::Snapshot). An
+  /// entry alone bigger than the whole byte budget is rejected. Replaces
+  /// any previous entry for the same fingerprint.
   void Insert(const std::string& fingerprint, EpochVector at,
-              Relation result, const obs::CostVector& cost);
+              Relation result);
 
   /// Drops every entry (counters and epochs are preserved).
   void Clear();

@@ -72,23 +72,34 @@ Result<Relation> ExecuteStructuredQuery(const StructuredQuery& q,
   obs::ScopedLatency record_latency(latency);
   obs::ChargeCost(obs::CostDim::kRowsScanned, source.size());
   STRUCTURA_RETURN_IF_ERROR(intr.Check());
-  Relation current = source;
+  // Each stage reads the one before it; the first reads `source` in
+  // place, so `source` is copied only when no stage runs at all.
+  Relation current;
+  const Relation* in = &source;
   if (!q.where.empty()) {
-    STRUCTURA_ASSIGN_OR_RETURN(current, Filter(current, q.where, intr, opts));
+    STRUCTURA_ASSIGN_OR_RETURN(current, Filter(*in, q.where, intr, opts));
+    in = &current;
   }
   STRUCTURA_RETURN_IF_ERROR(intr.Check());
   if (!q.aggregates.empty() || !q.group_by.empty()) {
     STRUCTURA_ASSIGN_OR_RETURN(
-        current, Aggregate(current, q.group_by, q.aggregates, intr, opts));
+        current, Aggregate(*in, q.group_by, q.aggregates, intr, opts));
+    in = &current;
   } else if (!q.select.empty()) {
-    STRUCTURA_ASSIGN_OR_RETURN(current, Project(current, q.select, intr, opts));
+    STRUCTURA_ASSIGN_OR_RETURN(current, Project(*in, q.select, intr, opts));
+    in = &current;
   }
   STRUCTURA_RETURN_IF_ERROR(intr.Check());
   if (!q.order_by.empty()) {
     STRUCTURA_ASSIGN_OR_RETURN(current,
-                               OrderBy(current, q.order_by, q.descending));
+                               OrderBy(*in, q.order_by, q.descending));
+    in = &current;
   }
-  if (q.limit > 0) current = Limit(current, q.limit);
+  if (q.limit > 0) {
+    current = Limit(*in, q.limit);
+    in = &current;
+  }
+  if (in == &source) return source;
   return current;
 }
 

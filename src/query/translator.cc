@@ -72,11 +72,6 @@ void KeywordTranslator::BuildVocabulary(const Relation& facts) {
   };
 }
 
-void KeywordTranslator::AddAttributeSynonym(
-    const std::string& word, const std::string& attribute_pattern) {
-  synonyms_.emplace_back(ToLower(word), attribute_pattern);
-}
-
 std::vector<QueryForm> KeywordTranslator::Translate(
     const std::string& keywords) const {
   // An infinite interrupt can't fire, so the Result is always a value.

@@ -43,11 +43,6 @@ class KeywordTranslator {
   /// Learns subjects and attributes present in `facts`.
   void BuildVocabulary(const Relation& facts);
 
-  /// Registers an extra natural-language synonym for an attribute
-  /// (pattern may use '%', e.g. "temperature" -> "temp_%").
-  void AddAttributeSynonym(const std::string& word,
-                           const std::string& attribute_pattern);
-
   /// Ranked candidate structured queries for `keywords`.
   std::vector<QueryForm> Translate(const std::string& keywords) const;
 
@@ -58,7 +53,6 @@ class KeywordTranslator {
                                            const Interrupt& intr) const;
 
   size_t NumSubjects() const { return subjects_.size(); }
-  size_t NumAttributes() const { return attributes_.size(); }
 
  private:
   struct SubjectEntry {

@@ -19,6 +19,15 @@ namespace {
 /// fallback). See the canary comment in Run().
 constexpr uint64_t kCriticalCanaryEvery = 8;
 
+/// Backoff before retry k (1-based): jittered
+/// kRetryBaseMs * kRetryMultiplier^(k-1), capped at kRetryMaxMs and at
+/// the request's remaining deadline.
+constexpr double kRetryBaseMs = 1;
+constexpr double kRetryMultiplier = 2.0;
+constexpr double kRetryMaxMs = 16;
+/// Seeds each request's jitter stream, mixed with the request id.
+constexpr uint64_t kRetryJitterSeed = 1;
+
 }  // namespace
 
 std::string ServingCounters::ToString() const {
@@ -451,7 +460,7 @@ Status Frontend::Run(Operator* op, const std::string& op_name,
     }
   }
 
-  Rng rng(options_.seed ^ (ctx.id * 0x9E3779B97F4A7C15ULL));
+  Rng rng(kRetryJitterSeed ^ (ctx.id * 0x9E3779B97F4A7C15ULL));
   uint32_t budget = ctx.retry_budget;
   uint32_t attempt = 0;
   while (true) {
@@ -497,9 +506,9 @@ Status Frontend::Run(Operator* op, const std::string& op_name,
     retries_->Increment();
     obs::ChargeCost(obs::CostDim::kRetries, 1);
     // Jittered exponential backoff, clipped to the remaining deadline.
-    double base = static_cast<double>(options_.retry_base_ms);
-    for (uint32_t i = 1; i < attempt; ++i) base *= options_.retry_multiplier;
-    base = std::min(base, static_cast<double>(options_.retry_max_ms));
+    double base = kRetryBaseMs;
+    for (uint32_t i = 1; i < attempt; ++i) base *= kRetryMultiplier;
+    base = std::min(base, kRetryMaxMs);
     auto backoff_ms =
         static_cast<uint64_t>(base * (0.5 + 0.5 * rng.NextDouble()));
     backoff_ms = std::min(backoff_ms, ctx.interrupt.deadline.RemainingMillis());

@@ -67,8 +67,9 @@ namespace structura::serve {
 ///    evaluation) before the breakers and counters are destroyed, so a
 ///    watchdog evaluating concurrently can never touch freed state.
 ///  - **Retries.** Retryable operator failures are re-attempted with
-///    jittered exponential backoff, charged against the request's
-///    retry budget and clipped to its deadline.
+///    jittered exponential backoff (1 ms, doubling, at most 16 ms),
+///    charged against the request's retry budget and clipped to its
+///    deadline.
 ///
 /// Every submitted request resolves to exactly one Status: OK,
 /// kDeadlineExceeded, kCancelled, or kUnavailable (plus kNotFound for
@@ -89,13 +90,6 @@ class Frontend {
     /// Requests queued longer than this are shed at dequeue.
     uint64_t max_queue_wait_ms = 50;
     CircuitBreaker::Options breaker;
-    /// Backoff before retry k (1-based): jittered
-    /// retry_base_ms * retry_multiplier^(k-1), capped at retry_max_ms
-    /// and at the request's remaining deadline.
-    uint64_t retry_base_ms = 1;
-    double retry_multiplier = 2.0;
-    uint64_t retry_max_ms = 16;
-    uint64_t seed = 1;
     /// When false the queue is unbounded and queued-wait shedding is
     /// off — the "no overload policy" baseline bench_e15 compares
     /// against. Breakers, retries, and brownout-free admission stay

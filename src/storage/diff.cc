@@ -29,17 +29,6 @@ constexpr size_t kMaxLcsCells = 4u << 20;  // 4M DP cells
 
 }  // namespace
 
-size_t Delta::SerializedSize() const {
-  size_t total = 0;
-  for (const DiffOp& op : ops) {
-    total += 16;  // op header estimate (kind + count digits + newline)
-    if (op.kind == DiffOp::Kind::kInsert) {
-      for (const std::string& line : op.lines) total += line.size() + 12;
-    }
-  }
-  return total;
-}
-
 std::string Delta::Serialize() const {
   std::string out;
   for (const DiffOp& op : ops) {

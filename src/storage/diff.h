@@ -25,10 +25,6 @@ struct DiffOp {
 struct Delta {
   std::vector<DiffOp> ops;
 
-  /// Bytes this delta occupies when serialized — the quantity the
-  /// snapshot-store space experiment (E6) accounts.
-  size_t SerializedSize() const;
-
   std::string Serialize() const;
   static Result<Delta> Deserialize(const std::string& data);
 };

@@ -309,7 +309,8 @@ Result<SnapshotStore::ReadResult> SnapshotStore::GetWithFallback(
                             primary.status().message());
 }
 
-Status SnapshotStore::Scrub(IntegrityCounters* counters) const {
+Status SnapshotStore::Scrub(IntegrityCounters* counters,
+                            bool* journal_damaged) const {
   for (const auto& [page_id, page] : pages_) {
     for (uint32_t v = 0; v < page.versions.size(); ++v) {
       if (Get(page_id, v).ok()) {
@@ -319,6 +320,23 @@ Status SnapshotStore::Scrub(IntegrityCounters* counters) const {
       }
     }
   }
+  if (!attached_) return Status::OK();
+  // Memory can be clean while the file a restart replays is not: read
+  // the journal back too. A failed handle has nothing left to flush.
+  if (journal_ != nullptr && !journal_->failed()) {
+    STRUCTURA_RETURN_IF_ERROR(journal_->Flush());
+  }
+  std::ifstream in(journal_path_, std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  FrameReader reader(data);
+  while (reader.Next()) {
+  }
+  const FrameScanReport& report = reader.report();
+  uint64_t damage = report.damaged_regions + (report.torn_tail ? 1 : 0);
+  counters->corrupt_records += damage;
+  counters->torn_tail_bytes += report.torn_tail_bytes;
+  if (journal_damaged != nullptr) *journal_damaged = damage > 0;
   return Status::OK();
 }
 

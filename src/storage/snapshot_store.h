@@ -99,8 +99,14 @@ class SnapshotStore {
                                      uint32_t version) const;
 
   /// Reconstructs and re-verifies every stored version, folding findings
-  /// into `counters` (records_verified / corrupt_records).
-  Status Scrub(IntegrityCounters* counters) const;
+  /// into `counters` (records_verified / corrupt_records, one per
+  /// version). With a journal attached it then flushes the journal and
+  /// reads the file back as a restart would: each damaged region, and a
+  /// torn tail, adds a corrupt record, and `*journal_damaged` (when
+  /// given) says whether any was found — ReopenJournal() rewrites the
+  /// file from memory.
+  Status Scrub(IntegrityCounters* counters,
+               bool* journal_damaged = nullptr) const;
 
   /// Latest version number for a page, or error when unknown.
   Result<uint32_t> LatestVersion(uint64_t page_id) const;

@@ -26,6 +26,10 @@
 #include "common/thread_pool.h"
 #include "core/system.h"
 #include "corpus/generator.h"
+#include "ie/standard.h"
+#include "lang/executor.h"
+#include "lang/plan.h"
+#include "query/hybrid.h"
 #include "query/keyword_index.h"
 #include "query/relation.h"
 #include "query/structured_query.h"
@@ -48,12 +52,10 @@ ThreadPool& Pool() {
   return pool;
 }
 
-ExecutorOptions Opts(size_t parallelism, size_t morsel_rows,
-                     size_t grain = 1) {
+ExecutorOptions Opts(size_t parallelism, size_t morsel_rows) {
   ExecutorOptions o;
   o.parallelism = parallelism;
   o.morsel_rows = morsel_rows;
-  o.grain = grain;
   o.pool = parallelism > 1 ? &Pool() : nullptr;
   return o;
 }
@@ -221,81 +223,105 @@ TEST(ParallelExecTest, StructuredQueryMatchesSerial) {
   }
 }
 
-/// Guaranteed-size relation: the serial path polls the interrupt every
-/// 512 rows, so interrupt tests need more rows than that on every path.
-Relation BigRelation(size_t rows) {
+/// Exactly `rows` random rows. Interrupt tests use two sizes: 4096 rows
+/// cross many polls on every path (the serial Filter and Project loops
+/// poll before the first row and every 512 rows after it, the morsel
+/// paths before each morsel), and 10 rows, where the first poll is the
+/// only one.
+Relation SizedRelation(size_t rows) {
   std::mt19937_64 rng(3);
   Relation rel;
   do {
     rel = RandomRelation(rng, rows * 2);
   } while (rel.size() < rows);
-  return rel;
+  return Limit(rel, rows);
+}
+
+/// Asserts that `intr` refuses with `code` on every path: Filter,
+/// Project, Aggregate and HashJoin at parallelism 1, 2 and 8 over 4096
+/// and 10 rows, EXTRACT through ExecutePlan at parallelism 1 and 8, and
+/// query::HybridSearch.
+void ExpectRefusedOnEveryPath(const Interrupt& intr, StatusCode code) {
+  Relation right = GroupTags();
+  for (size_t rows : {size_t{4096}, size_t{10}}) {
+    Relation in = SizedRelation(rows);
+    for (size_t par : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " par=" + std::to_string(par));
+      ExecutorOptions opts = Opts(par, 64);
+      auto f = Filter(in, {Condition{"x", CompareOp::kGt, Value::Int(0)}},
+                      intr, opts);
+      ASSERT_FALSE(f.ok()) << "filter";
+      EXPECT_EQ(f.status().code(), code);
+      auto p = Project(in, {"g", "x"}, intr, opts);
+      ASSERT_FALSE(p.ok()) << "project";
+      EXPECT_EQ(p.status().code(), code);
+      auto a = Aggregate(in, {"g"}, AllAggs(), intr, opts);
+      ASSERT_FALSE(a.ok()) << "aggregate";
+      EXPECT_EQ(a.status().code(), code);
+      auto j = HashJoin(in, right, "g", "g", "r_", intr, opts);
+      ASSERT_FALSE(j.ok()) << "join";
+      EXPECT_EQ(j.status().code(), code);
+    }
+  }
+
+  corpus::CorpusOptions copts;
+  copts.num_cities = 6;
+  copts.num_people = 4;
+  copts.num_companies = 2;
+  copts.seed = 5;
+  text::DocumentCollection docs;
+  corpus::GroundTruth truth;
+  corpus::GenerateCorpus(copts, &docs, &truth);
+
+  // EXTRACT infobox FROM pages.
+  ie::ExtractorPtr infobox = ie::MakeInfoboxExtractor();
+  lang::PlanNode plan;
+  plan.type = lang::PlanNode::Type::kExtract;
+  plan.extractors = {infobox->name()};
+  plan.children.push_back(std::make_unique<lang::PlanNode>());
+  plan.children.back()->type = lang::PlanNode::Type::kScanDocs;
+  for (size_t par : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("extract par=" + std::to_string(par));
+    lang::ExecutionContext ctx;
+    ctx.docs = &docs;
+    ctx.extractors[infobox->name()] = infobox.get();
+    ctx.exec = Opts(par, 64);
+    ctx.interrupt = intr;
+    auto e = lang::ExecutePlan(plan, &ctx);
+    ASSERT_FALSE(e.ok());
+    EXPECT_EQ(e.status().code(), code);
+    EXPECT_EQ(ctx.extractor_runs, 0u);
+  }
+
+  KeywordIndex index;
+  for (const text::Document& d : docs.docs) index.AddDocument(d);
+  index.Finalize();
+  Relation facts({"doc", "attribute", "value"});
+  facts.Append({Value::Int(static_cast<int64_t>(docs.docs[0].id)),
+                Value::Str("population"), Value::Str("1000")})
+      .ok();
+  HybridQuery hq;
+  hq.keywords = "city";
+  hq.structured = {
+      Condition{"attribute", CompareOp::kEq, Value::Str("population")}};
+  auto h = HybridSearch(index, facts, hq, 5, intr);
+  ASSERT_FALSE(h.ok()) << "hybrid";
+  EXPECT_EQ(h.status().code(), code);
 }
 
 TEST(ParallelExecTest, ExpiredDeadlineRefusesOnEveryPath) {
-  Relation in = BigRelation(4096);
-  Relation right = GroupTags();
   Interrupt expired;
   expired.deadline = Deadline::AfterNanos(-1);
-  for (size_t par : {size_t{1}, size_t{2}, size_t{8}}) {
-    auto r = Filter(in, {Condition{"x", CompareOp::kGt, Value::Int(0)}},
-                    expired, Opts(par, 64));
-    ASSERT_FALSE(r.ok()) << "par=" << par;
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-    auto a = Aggregate(in, {"g"}, AllAggs(), expired, Opts(par, 64));
-    ASSERT_FALSE(a.ok()) << "par=" << par;
-    EXPECT_EQ(a.status().code(), StatusCode::kDeadlineExceeded);
-    auto j = HashJoin(in, right, "g", "g", "r_", expired, Opts(par, 64));
-    ASSERT_FALSE(j.ok()) << "par=" << par;
-    EXPECT_EQ(j.status().code(), StatusCode::kDeadlineExceeded);
-  }
+  ExpectRefusedOnEveryPath(expired, StatusCode::kDeadlineExceeded);
 }
 
 TEST(ParallelExecTest, CancellationRefusesOnEveryPath) {
-  Relation in = BigRelation(4096);
-  Relation right = GroupTags();
   CancellationSource source;
   source.Cancel();
   Interrupt cancelled;
   cancelled.token = source.token();
-  for (size_t par : {size_t{1}, size_t{2}, size_t{8}}) {
-    auto r = Project(in, {"g", "x"}, cancelled, Opts(par, 64));
-    ASSERT_FALSE(r.ok()) << "par=" << par;
-    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-    auto j = HashJoin(in, right, "g", "g", "r_", cancelled, Opts(par, 64));
-    ASSERT_FALSE(j.ok()) << "par=" << par;
-    EXPECT_EQ(j.status().code(), StatusCode::kCancelled);
-  }
-}
-
-TEST(ParallelExecTest, KeywordSearchParallelMatchesSerial) {
-  // Posting lists long enough to engage the chunked scoring path
-  // (>= 8192 postings for one term).
-  KeywordIndex index;
-  for (uint64_t i = 0; i < 9000; ++i) {
-    text::Document d;
-    d.id = i + 1;
-    d.title = "doc " + std::to_string(i);
-    d.text = "common words here plus token" + std::to_string(i % 97) +
-             (i % 3 == 0 ? " madison" : " oakfield");
-    index.AddDocument(d);
-  }
-  index.Finalize();
-  for (const char* q : {"common madison", "common token13 oakfield"}) {
-    auto serial = index.Search(q, 25, Interrupt{}, Opts(1, 1024));
-    ASSERT_TRUE(serial.ok());
-    for (size_t par : {size_t{2}, size_t{8}}) {
-      auto parallel = index.Search(q, 25, Interrupt{}, Opts(par, 1024));
-      ASSERT_TRUE(parallel.ok());
-      ASSERT_EQ(serial->size(), parallel->size());
-      for (size_t i = 0; i < serial->size(); ++i) {
-        EXPECT_EQ((*serial)[i].doc, (*parallel)[i].doc) << q;
-        double a = (*serial)[i].score, b = (*parallel)[i].score;
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-            << q << " hit " << i << ": " << a << " vs " << b;
-      }
-    }
-  }
+  ExpectRefusedOnEveryPath(cancelled, StatusCode::kCancelled);
 }
 
 TEST(ParallelExecTest, EndToEndSystemMatchesSerial) {
@@ -351,7 +377,6 @@ TEST(ParallelSweepTest, RandomPlanDifferential) {
     Relation in = RandomRelation(rng, 600);
     std::vector<Condition> conds = RandomConditions(rng);
     size_t morsel = kMorsels[rng() % 4];
-    size_t grain = 1 + rng() % 3;
     bool race_deadline = iter % 7 == 3;
     Interrupt intr;
     if (race_deadline) {
@@ -362,7 +387,7 @@ TEST(ParallelSweepTest, RandomPlanDifferential) {
     ASSERT_TRUE(serial.ok());
     for (size_t par : {size_t{2}, size_t{8}}) {
       auto parallel =
-          RunPipeline(in, right, conds, intr, Opts(par, morsel, grain));
+          RunPipeline(in, right, conds, intr, Opts(par, morsel));
       if (!parallel.ok()) {
         // Only the raced deadline may refuse, and only cleanly.
         ASSERT_TRUE(race_deadline) << parallel.status().ToString();

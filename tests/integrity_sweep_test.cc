@@ -5,15 +5,19 @@
 // damaged region survive. Also exercises the failpoint-driven
 // corruption sites (wal.frame, checkpoint.write, segment.record,
 // snapshot.delta) end-to-end through recovery, Scrub, and
-// System::StatusReport.
+// System::StatusReport, and a byte flipped in a live snapshot journal
+// through scrub, watchdog heal and restart.
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -441,6 +445,92 @@ TEST(IntegritySweepTest, SystemScrubStorageSurfacesCountersInStatus) {
   EXPECT_NE(report.find("integrity:"), std::string::npos) << report;
   EXPECT_NE(report.find("last scrub"), std::string::npos) << report;
   EXPECT_NE(report.find("corrupt_records=1"), std::string::npos) << report;
+}
+
+// A byte flipped in the live snapshot journal leaves every version in
+// memory intact, so only a scrub that reads the file back can see it —
+// and until the file is rewritten, a restart drops every page version
+// past the damage.
+TEST(IntegritySweepTest, WatchdogHealsSnapshotJournalBitRot) {
+  core::System::Options sopts;
+  sopts.workspace = TempDir("journal_rot");
+  text::DocumentCollection docs;
+  for (uint64_t id = 1; id <= 20; ++id) {
+    text::Document doc;
+    doc.id = id;
+    doc.title = "Page " + std::to_string(id);
+    doc.text = doc.title + " has a population of " +
+               std::to_string(1000 * id) + ".\nIt lies on a river.\n";
+    docs.docs.push_back(doc);
+  }
+  {
+    auto sys_or = core::System::Create(sopts);
+    ASSERT_TRUE(sys_or.ok()) << sys_or.status().ToString();
+    std::unique_ptr<core::System> sys = std::move(sys_or).value();
+    ASSERT_TRUE(sys->IngestCrawl(docs).ok());
+
+    const std::string journal =
+        sopts.workspace + "/snapshots/snapshots.journal";
+    std::string bytes = ReadFile(journal);
+    ASSERT_FALSE(bytes.empty());
+    const size_t mid = bytes.size() / 2;
+    {
+      std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(mid));
+      f.put(static_cast<char>(bytes[mid] ^ 0x5A));
+      ASSERT_TRUE(f.good()) << journal;
+    }
+
+    auto damaged = sys->ScrubStorage();
+    ASSERT_TRUE(damaged.ok()) << damaged.status().ToString();
+    EXPECT_GE(damaged->corrupt_records, 1u) << damaged->ToString();
+    sys->health().Evaluate();
+    EXPECT_EQ(sys->health().StateOf("storage.snapshots"),
+              serve::HealthState::kDegraded)
+        << sys->HealthJson();
+
+    // The watchdog rewrites the journal from memory (HealStorage), then
+    // its next scrub finds the file clean and promotes the subsystem.
+    core::System::WatchdogOptions wopts;
+    wopts.interval_ms = 5;
+    wopts.scrub_cooldown_ms = 20;
+    wopts.heal_cooldown_ms = 20;
+    sys->StartWatchdog(wopts);
+    for (int attempt = 0;
+         attempt < 400 &&
+         (sys->WatchdogAutoHeals() == 0 ||
+          sys->health().StateOf("storage.snapshots") !=
+              serve::HealthState::kHealthy);
+         ++attempt) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    sys->StopWatchdog();
+    EXPECT_GE(sys->WatchdogAutoHeals(), 1u);
+    EXPECT_EQ(sys->health().StateOf("storage.snapshots"),
+              serve::HealthState::kHealthy)
+        << sys->HealthJson();
+
+    auto clean = sys->ScrubStorage();
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_FALSE(clean->AnyDamage()) << clean->ToString();
+  }
+
+  // A restart replays the rewritten journal: every page, no damage.
+  auto reopened = core::System::Create(sopts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  SnapshotStore& snapshots = (*reopened)->snapshots();
+  EXPECT_FALSE(snapshots.recovery_report().AnyDamage())
+      << snapshots.recovery_report().ToString();
+  EXPECT_EQ(snapshots.recovery_report().records_verified, 20u);
+  EXPECT_EQ(snapshots.NumPages(), 20u);
+  for (const text::Document& doc : docs.docs) {
+    auto text = snapshots.Get(doc.id, 0);
+    ASSERT_TRUE(text.ok()) << "page " << doc.id << ": "
+                           << text.status().ToString();
+    EXPECT_EQ(*text, doc.text);
+  }
+  reopened->reset();
+  std::filesystem::remove_all(sopts.workspace);
 }
 
 }  // namespace

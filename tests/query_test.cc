@@ -1,4 +1,3 @@
-#include <map>
 
 #include <gtest/gtest.h>
 
@@ -389,125 +388,6 @@ TEST(HybridSearchTest, RequiresDocColumn) {
   HybridQuery hq;
   hq.keywords = "x";
   EXPECT_FALSE(HybridSearch(index, facts, hq, 5).ok());
-}
-
-TEST(HybridSearchTest, DegradableLadderWalksEveryRung) {
-  corpus::CorpusOptions options;
-  options.num_cities = 20;
-  options.num_people = 5;
-  options.num_companies = 3;
-  options.seed = 67;
-  options.infobox_dropout = 0;
-  options.attribute_missing = 0;
-  text::DocumentCollection docs;
-  corpus::GroundTruth truth;
-  corpus::GenerateCorpus(options, &docs, &truth);
-  KeywordIndex index;
-  for (const auto& d : docs.docs) index.AddDocument(d);
-  index.Finalize();
-  Relation facts({"doc", "attribute", "value"});
-  for (const corpus::FactTruth& f : truth.facts) {
-    facts
-        .Append({Value::Int(static_cast<int64_t>(f.doc)),
-                 Value::Str(f.attribute), Value::Str(f.value)})
-        .ok();
-  }
-  HybridQuery hq;
-  hq.keywords = "city United States";
-  hq.structured = {
-      Condition{"attribute", CompareOp::kEq, Value::Str("population")},
-      Condition{"value", CompareOp::kGt, Value::Int(500000)}};
-
-  // Rung 1: both sides healthy — the full hybrid answer, not degraded,
-  // identical to the all-or-nothing HybridSearch.
-  auto full = HybridSearchDegradable(index, facts, hq, 10);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_EQ(full->mode, HybridMode::kFull);
-  EXPECT_FALSE(full->degraded);
-  EXPECT_TRUE(full->reason.empty());
-  auto exact = HybridSearch(index, facts, hq, 10);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_EQ(full->hits.size(), exact->size());
-  for (size_t i = 0; i < exact->size(); ++i) {
-    EXPECT_EQ(full->hits[i].doc, (*exact)[i].doc);
-  }
-  ASSERT_FALSE(full->hits.empty());
-
-  // Rung 2: structured side unavailable (health hint) — BM25 ranking
-  // alone, loudly marked with the caller's reason.
-  HybridFallback no_structured;
-  no_structured.structured_available = false;
-  no_structured.structured_reason = "query.structured critical: breaker open";
-  auto kw = HybridSearchDegradable(index, facts, hq, 10, no_structured);
-  ASSERT_TRUE(kw.ok()) << kw.status().ToString();
-  EXPECT_EQ(kw->mode, HybridMode::kKeywordOnly);
-  EXPECT_TRUE(kw->degraded);
-  EXPECT_EQ(kw->reason, "query.structured critical: breaker open");
-  EXPECT_FALSE(kw->hits.empty());
-  EXPECT_LE(kw->hits.size(), 10u);
-
-  // Rung 3: keyword side unavailable — predicate matches without
-  // relevance ranking; every hit still satisfies the conditions.
-  HybridFallback no_keyword;
-  no_keyword.keyword_available = false;
-  no_keyword.keyword_reason = "query.keyword critical: index rebuilding";
-  auto structured = HybridSearchDegradable(index, facts, hq, 10, no_keyword);
-  ASSERT_TRUE(structured.ok()) << structured.status().ToString();
-  EXPECT_EQ(structured->mode, HybridMode::kStructuredOnly);
-  EXPECT_TRUE(structured->degraded);
-  EXPECT_EQ(structured->reason, "query.keyword critical: index rebuilding");
-  ASSERT_FALSE(structured->hits.empty());
-  std::map<text::DocId, std::string> title_by_id;
-  for (const auto& d : docs.docs) title_by_id[d.id] = d.title;
-  for (const SearchHit& hit : structured->hits) {
-    EXPECT_EQ(hit.score, 0.0);  // no ranking signal was applied
-    ASSERT_NE(title_by_id.count(hit.doc), 0u);
-    const corpus::CityRecord* city = truth.FindCity(title_by_id[hit.doc]);
-    ASSERT_NE(city, nullptr) << title_by_id[hit.doc];
-    EXPECT_GT(city->population, 500000);
-  }
-
-  // Bottom of the ladder: both sides down — refuse loudly with both
-  // reasons; never fabricate an answer.
-  HybridFallback neither;
-  neither.structured_available = false;
-  neither.structured_reason = "structured down";
-  neither.keyword_available = false;
-  neither.keyword_reason = "keyword down";
-  auto refused = HybridSearchDegradable(index, facts, hq, 10, neither);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(refused.status().message().find("structured down"),
-            std::string::npos)
-      << refused.status().ToString();
-  EXPECT_NE(refused.status().message().find("keyword down"),
-            std::string::npos)
-      << refused.status().ToString();
-}
-
-TEST(HybridSearchTest, DegradableDoesNotAbsorbCallerMistakesOrDeadlines) {
-  KeywordIndex index;
-  index.Finalize();
-  HybridQuery hq;
-  hq.keywords = "x";
-
-  // A caller mistake (facts without a doc column) is kInvalidArgument
-  // and must propagate, not silently degrade to keyword-only.
-  Relation bad_facts({"subject", "value"});
-  auto r = HybridSearchDegradable(index, bad_facts, hq, 5);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-
-  // Interrupt statuses propagate too: a blown deadline is the caller's
-  // outcome, not an infrastructure failure to route around.
-  Relation facts({"doc", "attribute", "value"});
-  facts.Append({Value::Int(0), Value::Str("a"), Value::Str("v")}).ok();
-  Interrupt intr;
-  intr.deadline = Deadline::AfterMillis(0);
-  auto expired =
-      HybridSearchDegradable(index, facts, hq, 5, HybridFallback{}, intr);
-  ASSERT_FALSE(expired.ok());
-  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(StructuredQueryTest, ExecuteFilterAggregate) {

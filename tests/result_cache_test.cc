@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/flight_recorder.h"
 #include "query/relation.h"
 #include "query/result_cache.h"
 #include "rdbms/database.h"
@@ -47,17 +46,11 @@ Relation OneCell(int64_t v) {
   return rel;
 }
 
-obs::CostVector CostOf(uint64_t score_nanos) {
-  obs::CostVector cost;
-  cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] = score_nanos;
-  return cost;
-}
-
 TEST(ResultCacheTest, HitReturnsInsertedResult) {
   QueryResultCache cache;
   EXPECT_FALSE(cache.Lookup("q1").has_value());
   EpochVector at = cache.epochs().Snapshot({"table:t"});
-  cache.Insert("q1", at, OneCell(7), CostOf(1000));
+  cache.Insert("q1", at, OneCell(7));
   auto hit = cache.Lookup("q1");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->At(0, "v").as_int(), 7);
@@ -69,8 +62,7 @@ TEST(ResultCacheTest, HitReturnsInsertedResult) {
 
 TEST(ResultCacheTest, BumpInvalidatesLazily) {
   QueryResultCache cache;
-  cache.Insert("q", cache.epochs().Snapshot({"table:t"}), OneCell(1),
-               CostOf(1000));
+  cache.Insert("q", cache.epochs().Snapshot({"table:t"}), OneCell(1));
   ASSERT_TRUE(cache.Lookup("q").has_value());
   cache.epochs().Bump("table:t");
   EXPECT_FALSE(cache.Lookup("q").has_value());
@@ -78,8 +70,7 @@ TEST(ResultCacheTest, BumpInvalidatesLazily) {
   EXPECT_EQ(s.invalidations, 1u);
   EXPECT_EQ(s.entries, 0u);
   // An input the entry does not read leaves it valid.
-  cache.Insert("q2", cache.epochs().Snapshot({"table:t"}), OneCell(2),
-               CostOf(1000));
+  cache.Insert("q2", cache.epochs().Snapshot({"table:t"}), OneCell(2));
   cache.epochs().Bump("table:other");
   EXPECT_TRUE(cache.Lookup("q2").has_value());
 }
@@ -90,7 +81,7 @@ TEST(ResultCacheTest, SnapshotBeforeExecutionCatchesMidRunWrites) {
   QueryResultCache cache;
   EpochVector at = cache.epochs().Snapshot({"table:t"});
   cache.epochs().Bump("table:t");  // write commits while query runs
-  cache.Insert("q", at, OneCell(42), CostOf(1000));
+  cache.Insert("q", at, OneCell(42));
   EXPECT_FALSE(cache.Lookup("q").has_value());
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
@@ -99,10 +90,10 @@ TEST(ResultCacheTest, LruEvictsByEntryBudget) {
   QueryResultCache::Options opts;
   opts.max_entries = 2;
   QueryResultCache cache(opts);
-  cache.Insert("a", {}, OneCell(1), CostOf(1000));
-  cache.Insert("b", {}, OneCell(2), CostOf(1000));
+  cache.Insert("a", {}, OneCell(1));
+  cache.Insert("b", {}, OneCell(2));
   ASSERT_TRUE(cache.Lookup("a").has_value());  // a is now MRU
-  cache.Insert("c", {}, OneCell(3), CostOf(1000));
+  cache.Insert("c", {}, OneCell(3));
   EXPECT_TRUE(cache.Lookup("a").has_value());
   EXPECT_FALSE(cache.Lookup("b").has_value());  // LRU victim
   EXPECT_TRUE(cache.Lookup("c").has_value());
@@ -115,30 +106,18 @@ TEST(ResultCacheTest, ByteBudgetEvictsAndRejectsOversized) {
   QueryResultCache cache(opts);
   Relation big({"s"});
   big.Append({Value::Str(std::string(10000, 'x'))}).ok();
-  cache.Insert("big", {}, big, CostOf(1000));  // alone over budget
+  cache.Insert("big", {}, big);  // alone over budget
   EXPECT_FALSE(cache.Lookup("big").has_value());
   EXPECT_EQ(cache.stats().rejected, 1u);
-  cache.Insert("a", {}, OneCell(1), CostOf(1000));
+  cache.Insert("a", {}, OneCell(1));
   EXPECT_TRUE(cache.Lookup("a").has_value());
   EXPECT_LE(cache.stats().bytes, 600u);
-}
-
-TEST(ResultCacheTest, CostFloorRejectsCheapResults) {
-  QueryResultCache::Options opts;
-  opts.min_cost_score = 1000000;
-  QueryResultCache cache(opts);
-  cache.Insert("cheap", {}, OneCell(1), CostOf(10));
-  EXPECT_FALSE(cache.Lookup("cheap").has_value());
-  EXPECT_EQ(cache.stats().rejected, 1u);
-  cache.Insert("dear", {}, OneCell(2), CostOf(2000000));
-  EXPECT_TRUE(cache.Lookup("dear").has_value());
 }
 
 TEST(ResultCacheTest, ClearDropsEntriesKeepsEpochs) {
   QueryResultCache cache;
   cache.epochs().Bump("table:t");
-  cache.Insert("q", cache.epochs().Snapshot({"table:t"}), OneCell(1),
-               CostOf(1000));
+  cache.Insert("q", cache.epochs().Snapshot({"table:t"}), OneCell(1));
   cache.Clear();
   EXPECT_FALSE(cache.Lookup("q").has_value());
   EXPECT_EQ(cache.epochs().Get("table:t"), 1u);
@@ -193,8 +172,7 @@ TEST(ResultCacheTest, ConcurrentLookupInsertBumpIsRaceFree) {
           case 0:
             cache.Insert(name,
                          cache.epochs().Snapshot({"table:x"}),
-                         OneCell(static_cast<int64_t>(rng() % 100)),
-                         CostOf(1000));
+                         OneCell(static_cast<int64_t>(rng() % 100)));
             break;
           case 1:
             cache.Lookup(name);
@@ -288,8 +266,7 @@ TEST(CacheSweepTest, RandomInterleavingsNeverServeStale) {
           } else {
             int64_t fresh = db_sum(table);
             ASSERT_EQ(fresh, mirror[table]);
-            cache.Insert(fingerprint, std::move(at), OneCell(fresh),
-                         CostOf(1000));
+            cache.Insert(fingerprint, std::move(at), OneCell(fresh));
           }
           break;
         }
