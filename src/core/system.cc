@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -450,14 +451,15 @@ std::string System::HealthJson() const {
 
 Status System::IngestCrawl(const text::DocumentCollection& docs) {
   // Change detection: a page is dirty when its text differs from the
-  // previous crawl (or is new). REFRESH VIEW re-extracts only these.
-  ctx_.dirty_docs.clear();
+  // previous crawl (or is new). REFRESH VIEW re-extracts only these. The
+  // dirty set and the new hashes take effect only once the whole crawl
+  // is stored, so a refused crawl still looks changed to its retry.
+  std::vector<std::pair<text::DocId, uint64_t>> changed;
   for (const text::Document& doc : docs.docs) {
     uint64_t h = Fnv1a64(doc.text);
     auto it = last_text_hash_.find(doc.id);
     if (it == last_text_hash_.end() || it->second != h) {
-      ctx_.dirty_docs.insert(doc.id);
-      last_text_hash_[doc.id] = h;
+      changed.emplace_back(doc.id, h);
     }
     STRUCTURA_RETURN_IF_ERROR(
         snapshots_.Append(doc.id, doc.text).status());
@@ -465,6 +467,11 @@ Status System::IngestCrawl(const text::DocumentCollection& docs) {
   // Durability point for the whole crawl: one fsync covers every
   // journaled append above.
   STRUCTURA_RETURN_IF_ERROR(snapshots_.Sync());
+  ctx_.dirty_docs.clear();
+  for (const auto& [id, h] : changed) {
+    ctx_.dirty_docs.insert(id);
+    last_text_hash_[id] = h;
+  }
   docs_ = docs;
   keyword_index_ = query::KeywordIndex();
   for (const text::Document& doc : docs_.docs) {
@@ -550,7 +557,10 @@ Status System::BuildBeliefsFromView(const std::string& view) {
 
   current_facts_ = ie::FactSet();
   std::map<uint64_t, provenance::NodeId> doc_nodes;
-  std::map<uint64_t, provenance::NodeId> fact_nodes;
+  // Fact ids are dense from 1 in the fresh FactSet: node of fact `id` is
+  // fact_nodes[id - 1].
+  std::vector<provenance::NodeId> fact_nodes;
+  fact_nodes.reserve(rel->size());
   for (const query::Row& row : rel->rows()) {
     ie::ExtractedFact fact;
     fact.subject = row[static_cast<size_t>(subject_col)].ToString();
@@ -593,7 +603,7 @@ Status System::BuildBeliefsFromView(const std::string& view) {
                   added.subject.c_str(), added.attribute.c_str(),
                   added.value.c_str(), added.extractor.c_str()));
     lineage_.AddEdge(fact_node, doc_node, "extracted-from");
-    fact_nodes[id] = fact_node;
+    fact_nodes.push_back(fact_node);
   }
 
   beliefs_ = uncertainty::BuildBeliefs(current_facts_);
@@ -604,10 +614,7 @@ Status System::BuildBeliefsFromView(const std::string& view) {
     lineage_.Bind("belief:" + b.subject + ":" + b.attribute, belief_node);
     for (const uncertainty::ValueAlternative& alt : b.alternatives) {
       for (uint64_t fid : alt.supporting_facts) {
-        auto it = fact_nodes.find(fid);
-        if (it != fact_nodes.end()) {
-          lineage_.AddEdge(belief_node, it->second, "aggregates");
-        }
+        lineage_.AddEdge(belief_node, fact_nodes[fid - 1], "aggregates");
       }
     }
   }
@@ -622,6 +629,17 @@ Status System::BuildBeliefsFromView(const std::string& view) {
 
 Result<std::string> System::Explain(const std::string& subject,
                                     const std::string& attribute) const {
+  // Lineage bindings outlive rebuilds, so ask the current beliefs
+  // (ordered by subject, attribute) whether the key is still held.
+  auto it = std::lower_bound(
+      beliefs_.begin(), beliefs_.end(), std::tie(subject, attribute),
+      [](const uncertainty::AttributeBelief& b, const auto& key) {
+        return std::tie(b.subject, b.attribute) < key;
+      });
+  if (it == beliefs_.end() || it->subject != subject ||
+      it->attribute != attribute) {
+    return Status::NotFound("no belief for " + subject + "." + attribute);
+  }
   STRUCTURA_ASSIGN_OR_RETURN(
       provenance::NodeId node,
       lineage_.Lookup("belief:" + subject + ":" + attribute));
@@ -838,107 +856,89 @@ Result<size_t> System::RunFeedbackRound(
     return a < b;
   });
 
-  hi::TaskQueue queue;
-  std::map<uint64_t, size_t> task_belief;
-  std::map<uint64_t, std::string> task_truth;
-  std::map<uint64_t, std::vector<std::string>> task_options;
+  // One pass in rank order: each belief the oracle can answer becomes a
+  // choose-one task with its crowd answers, until `budget` are asked.
+  // Users can both *verify* the extracted candidates and *supply* the
+  // right value (the paper's users "provide domain knowledge"), modeled
+  // as a write-in option equal to the oracle's truth.
+  struct Question {
+    size_t belief;
+    hi::Task task;
+    std::vector<hi::Answer> answers;
+  };
+  std::vector<Question> questions;
+  size_t next_user = 0;
   for (size_t i : order) {
-    if (queue.size() >= options.budget) break;
+    if (questions.size() >= options.budget) break;
     const uncertainty::AttributeBelief& b = beliefs_[i];
     std::optional<std::string> truth = oracle(b.subject, b.attribute);
     if (!truth.has_value()) continue;
-    uint64_t id = next_task_id_++;
-    // Choose-one tasks throughout: users can both *verify* the extracted
-    // candidates and *supply* the right value (the paper's users
-    // "provide domain knowledge"), modeled as a write-in option equal to
-    // the oracle's truth.
     std::vector<std::string> candidates;
     for (const uncertainty::ValueAlternative& alt : b.alternatives) {
       candidates.push_back(alt.value);
     }
-    hi::Task task = hi::MakeChooseValueTask(
-        id, b.subject, b.attribute, candidates, top_prob(i), i);
-    if (std::find(task.options.begin(), task.options.end(), *truth) ==
-        task.options.end()) {
-      task.options.push_back(*truth);
+    Question q{i,
+               hi::MakeChooseValueTask(next_task_id_++, b.subject,
+                                       b.attribute, std::move(candidates),
+                                       top_prob(i), i),
+               {}};
+    if (std::find(q.task.options.begin(), q.task.options.end(), *truth) ==
+        q.task.options.end()) {
+      q.task.options.push_back(*truth);
     }
-    task_truth[id] = *truth;
-    task_belief[id] = i;
-    task_options[id] = task.options;
-    queue.Push(std::move(task));
-  }
-
-  // Collect crowd answers.
-  std::vector<hi::Answer> all_answers;
-  std::map<uint64_t, std::vector<hi::Answer>> per_task;
-  std::map<uint64_t, hi::Task> tasks;
-  size_t asked = 0;
-  size_t next_user = 0;
-  while (std::optional<hi::Task> task = queue.Pop()) {
-    ++asked;
     for (size_t a = 0; a < options.answers_per_task; ++a) {
       hi::SimulatedUser& u = (*crowd)[next_user % crowd->size()];
       ++next_user;
-      hi::Answer answer = u.Respond(*task, task_truth[task->id]);
-      per_task[task->id].push_back(answer);
-      all_answers.push_back(std::move(answer));
+      q.answers.push_back(u.Respond(q.task, *truth));
     }
-    tasks[task->id] = std::move(*task);
+    questions.push_back(std::move(q));
   }
-  monitor_.RecordTasksAnswered(all_answers.size());
+  monitor_.RecordTasksAnswered(questions.size() * options.answers_per_task);
 
-  // Aggregate and apply.
-  std::map<uint64_t, hi::AggregatedAnswer> consensus;
+  // Aggregate and apply, in rank order. A question without answers
+  // changes nothing.
+  hi::DawidSkeneResult ds;
+  std::map<std::string, double> weights;
   if (options.aggregation == Aggregation::kDawidSkene) {
-    hi::DawidSkeneResult ds = hi::DawidSkene(all_answers, task_options);
-    consensus = ds.task_answers;
-  } else {
-    std::map<std::string, double> weights;
-    if (options.aggregation == Aggregation::kWeighted) {
-      weights = users_.ReputationWeights();
+    std::vector<hi::Answer> all_answers;
+    std::map<uint64_t, std::vector<std::string>> task_options;
+    for (const Question& q : questions) {
+      all_answers.insert(all_answers.end(), q.answers.begin(),
+                         q.answers.end());
+      task_options[q.task.id] = q.task.options;
     }
-    for (const auto& [task_id, answers] : per_task) {
-      consensus[task_id] = options.aggregation == Aggregation::kMajority
-                               ? hi::MajorityVote(answers)
-                               : hi::WeightedVote(answers, weights);
-    }
+    ds = hi::DawidSkene(all_answers, task_options);
+  } else if (options.aggregation == Aggregation::kWeighted) {
+    weights = users_.ReputationWeights();
   }
-
-  for (const auto& [task_id, agg] : consensus) {
-    size_t belief_index = task_belief[task_id];
-    uncertainty::AttributeBelief& belief = beliefs_[belief_index];
-    const hi::Task& task = tasks[task_id];
-    double strength = std::min(0.99, std::max(0.55, agg.confidence));
-    if (task.type == hi::Task::Type::kChooseValue) {
-      uncertainty::ConfirmValue(&belief, agg.choice, strength);
-    } else if (agg.choice == "yes") {
-      const uncertainty::ValueAlternative* top = belief.Top();
-      if (top != nullptr) {
-        uncertainty::ConfirmValue(&belief, top->value, strength);
-      }
-    } else {
-      const uncertainty::ValueAlternative* top = belief.Top();
-      if (top != nullptr) {
-        uncertainty::RejectValue(&belief, top->value);
-      }
-    }
+  for (const Question& q : questions) {
+    if (q.answers.empty()) continue;
+    hi::AggregatedAnswer agg =
+        options.aggregation == Aggregation::kDawidSkene
+            ? ds.task_answers.at(q.task.id)
+        : options.aggregation == Aggregation::kWeighted
+            ? hi::WeightedVote(q.answers, weights)
+            : hi::MajorityVote(q.answers);
+    uncertainty::AttributeBelief& belief = beliefs_[q.belief];
+    uncertainty::ConfirmValue(&belief, agg.choice,
+                              std::min(0.99, std::max(0.55, agg.confidence)));
     // Provenance: feedback node supporting the belief.
     provenance::NodeId fb = lineage_.AddNode(
         provenance::NodeKind::kUserFeedback,
         StrFormat("consensus \"%s\" (%.2f) on task#%llu",
                   agg.choice.c_str(), agg.confidence,
-                  static_cast<unsigned long long>(task_id)));
+                  static_cast<unsigned long long>(q.task.id)));
     Result<provenance::NodeId> belief_node = lineage_.Lookup(
         "belief:" + belief.subject + ":" + belief.attribute);
     if (belief_node.ok()) {
       lineage_.AddEdge(*belief_node, fb, "adjusted-by");
     }
     // Reputation updates: agreement with consensus.
-    for (const hi::Answer& a : per_task[task_id]) {
+    for (const hi::Answer& a : q.answers) {
       users_.RecordFeedback(a.user, a.choice == agg.choice);
     }
   }
-  return asked;
+  return questions.size();
 }
 
 Status System::MaterializeBeliefs(const std::string& table) {
@@ -965,19 +965,7 @@ Status System::MaterializeBeliefs(const std::string& table) {
                       rdbms::Value::Str(b.attribute),
                       rdbms::Value::Str(top->value),
                       rdbms::Value::Double(top->probability)};
-    STRUCTURA_ASSIGN_OR_RETURN(rdbms::RowId rid,
-                               txn->Insert(table, std::move(row)));
-    provenance::NodeId tuple = lineage_.AddNode(
-        provenance::NodeKind::kTuple,
-        StrFormat("%s[%llu] %s.%s=%s", table.c_str(),
-                  static_cast<unsigned long long>(rid),
-                  b.subject.c_str(), b.attribute.c_str(),
-                  top->value.c_str()));
-    Result<provenance::NodeId> belief_node =
-        lineage_.Lookup("belief:" + b.subject + ":" + b.attribute);
-    if (belief_node.ok()) {
-      lineage_.AddEdge(tuple, *belief_node, "materializes");
-    }
+    STRUCTURA_RETURN_IF_ERROR(txn->Insert(table, std::move(row)).status());
   }
   return txn->Commit();
 }

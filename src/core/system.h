@@ -139,7 +139,11 @@ class System {
     return beliefs_;
   }
 
-  /// Derivation explanation for a belief (Part V's "explanation").
+  /// Derivation explanation for a belief (Part V's "explanation"):
+  /// belief -> facts -> documents, plus any feedback that adjusted it.
+  /// NotFound unless (subject, attribute) is in beliefs(). A row of a
+  /// table written by MaterializeBeliefs is explained through its own
+  /// (subject, attribute).
   Result<std::string> Explain(const std::string& subject,
                               const std::string& attribute) const;
 
@@ -170,10 +174,13 @@ class System {
     Aggregation aggregation = Aggregation::kMajority;
   };
 
-  /// One mass-collaboration round: picks the most uncertain beliefs,
-  /// generates tasks, collects crowd answers, aggregates, applies the
-  /// consensus to the beliefs, and updates user reputations. Returns the
-  /// number of tasks asked.
+  /// One mass-collaboration round, in one pass over the beliefs ranked
+  /// by |top - 0.5| (belief index on ties): each belief the oracle can
+  /// answer becomes a choose-one task with `answers_per_task` crowd
+  /// answers, until `budget` tasks are asked. The consensus of each task
+  /// is applied to its belief in rank order, with a feedback lineage node
+  /// and reputation updates; a task without answers changes nothing.
+  /// Returns the number of tasks asked.
   Result<size_t> RunFeedbackRound(const Oracle& oracle,
                                   std::vector<hi::SimulatedUser>* crowd,
                                   const FeedbackOptions& options);
@@ -181,8 +188,9 @@ class System {
   // --- Final structured store ------------------------------------------
 
   /// Writes the top alternative of every belief into an rdbms table
-  /// (subject, attribute, value, confidence) in one transaction,
-  /// recording tuple provenance. Creates the table if needed.
+  /// (subject, attribute, value, confidence) in one transaction. Creates
+  /// the table if needed. A row's provenance is its belief's: see
+  /// Explain(subject, attribute).
   Status MaterializeBeliefs(const std::string& table);
 
   rdbms::Database* database() { return db_.get(); }

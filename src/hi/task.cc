@@ -1,25 +1,8 @@
 #include "hi/task.h"
 
-#include <cmath>
-
 #include "common/strings.h"
 
 namespace structura::hi {
-
-void TaskQueue::Push(Task task) {
-  Entry e;
-  e.value = 0.5 - std::abs(task.prior - 0.5);
-  e.seq = next_seq_++;
-  e.task = std::move(task);
-  heap_.push(std::move(e));
-}
-
-std::optional<Task> TaskQueue::Pop() {
-  if (heap_.empty()) return std::nullopt;
-  Task t = heap_.top().task;
-  heap_.pop();
-  return t;
-}
 
 Task MakeVerifyMatchTask(uint64_t id, const std::string& a,
                          const std::string& b, double prior, uint64_t ref) {

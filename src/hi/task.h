@@ -2,8 +2,6 @@
 #define STRUCTURA_HI_TASK_H_
 
 #include <cstdint>
-#include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -25,7 +23,7 @@ struct Task {
   std::string question;              // rendered natural-language prompt
   std::vector<std::string> options;  // candidate answers ("yes","no",...)
   /// System's confidence in option[0] before asking; tasks near 0.5 are
-  /// the most informative and are scheduled first.
+  /// the most informative (the feedback round asks those first).
   double prior = 0.5;
   /// Opaque back-reference to the artifact under review (belief index,
   /// pair index...), interpreted by the caller.
@@ -37,30 +35,6 @@ struct Answer {
   uint64_t task_id = 0;
   std::string user;
   std::string choice;
-};
-
-/// Priority queue ordering tasks by expected information gain, highest
-/// first (|prior - 0.5| smallest). FIFO among ties.
-class TaskQueue {
- public:
-  void Push(Task task);
-  /// Most informative pending task, or nullopt when drained.
-  std::optional<Task> Pop();
-  size_t size() const { return heap_.size(); }
-  bool empty() const { return heap_.empty(); }
-
- private:
-  struct Entry {
-    double value;    // 0.5 - |prior - 0.5|, larger = more informative
-    uint64_t seq;    // arrival order for stable ties
-    Task task;
-    bool operator<(const Entry& other) const {
-      if (value != other.value) return value < other.value;
-      return seq > other.seq;  // earlier arrivals first
-    }
-  };
-  std::priority_queue<Entry> heap_;
-  uint64_t next_seq_ = 0;
 };
 
 /// Renders a yes/no match-verification task.

@@ -522,15 +522,24 @@ Result<Interpreter::StatementResult> Interpreter::RunRefresh(
                                ctx_->dirty_docs.end());
   STRUCTURA_ASSIGN_OR_RETURN(query::Relation fresh,
                              ExecutePlan(*plan, ctx_));
-  // Merge: keep rows of unchanged docs, replace rows of dirty docs.
-  const query::Relation& old = view_it->second;
-  int doc_col = old.ColumnIndex("doc");
+  // Merge: keep rows of unchanged docs, replace rows of dirty docs. Both
+  // are moved, not copied; every check runs before the stored rows are
+  // taken, so no error leaves the view emptied.
+  query::Relation& stored = view_it->second;
+  int doc_col = stored.ColumnIndex("doc");
   if (doc_col < 0) {
     return Status::Internal("extraction view lacks doc column");
   }
-  query::Relation merged(old.columns());
+  if (fresh.columns().size() != stored.columns().size()) {
+    return Status::Internal(
+        StrFormat("refreshed rows have %zu columns, view %s has %zu",
+                  fresh.columns().size(), refresh.view.c_str(),
+                  stored.columns().size()));
+  }
+  query::Relation merged(stored.columns());
   size_t replaced = 0;
-  for (const query::Row& row : old.rows()) {
+  size_t fresh_rows = fresh.size();
+  for (query::Row& row : std::move(stored).TakeRows()) {
     const query::Value& v = row[static_cast<size_t>(doc_col)];
     text::DocId doc = v.type() == rdbms::ValueType::kInt
                           ? static_cast<text::DocId>(v.as_int())
@@ -539,17 +548,17 @@ Result<Interpreter::StatementResult> Interpreter::RunRefresh(
       ++replaced;
       continue;
     }
-    STRUCTURA_RETURN_IF_ERROR(merged.Append(row));
+    (void)merged.Append(std::move(row));  // arity checked above
   }
-  for (const query::Row& row : fresh.rows()) {
-    STRUCTURA_RETURN_IF_ERROR(merged.Append(row));
+  for (query::Row& row : std::move(fresh).TakeRows()) {
+    (void)merged.Append(std::move(row));
   }
   result.text = StrFormat(
       "view %s refreshed: %zu stale rows dropped, %zu fresh rows from "
       "%zu changed docs (%zu total)",
-      refresh.view.c_str(), replaced, fresh.size(),
+      refresh.view.c_str(), replaced, fresh_rows,
       ctx_->dirty_docs.size(), merged.size());
-  ctx_->views[refresh.view] = std::move(merged);
+  stored = std::move(merged);
   if (ctx_->cache != nullptr) {
     ctx_->cache->epochs().Bump("view:" + refresh.view);
   }

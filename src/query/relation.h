@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -38,6 +39,10 @@ class Relation {
 
   /// Appends a row (arity must match).
   Status Append(Row row);
+
+  /// Hands the rows over without copying them; the relation keeps its
+  /// columns and is left with no rows.
+  std::vector<Row> TakeRows() && { return std::exchange(rows_, {}); }
 
   /// Value accessor by column name; Null for unknown columns.
   const Value& At(size_t row, const std::string& column) const;

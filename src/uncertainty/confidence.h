@@ -34,7 +34,9 @@ struct AttributeBelief {
 
 /// Groups raw extracted facts into beliefs: facts agreeing on (subject,
 /// attribute, value) reinforce via noisy-OR; distinct values become
-/// competing alternatives normalized to their combined mass.
+/// competing alternatives normalized to their combined mass. Beliefs are
+/// returned ordered by (subject, attribute), one per key, so callers may
+/// binary-search them.
 std::vector<AttributeBelief> BuildBeliefs(const ie::FactSet& facts);
 
 /// Human feedback applied to a belief: a confirmed value becomes

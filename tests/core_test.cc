@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -171,6 +174,36 @@ TEST_F(SystemFixture, GenerationAndBeliefs) {
   EXPECT_TRUE(explained_any);
 }
 
+TEST_F(SystemFixture, ExplainAnswersOnlyForHeldBeliefs) {
+  ASSERT_TRUE(sys->RunProgram("CREATE VIEW pops AS EXTRACT "
+                              "population_sentence FROM pages;")
+                  .ok());
+  ASSERT_TRUE(sys->BuildBeliefsFromView("pops").ok());
+  ASSERT_FALSE(sys->beliefs().empty());
+  const uncertainty::AttributeBelief gone = sys->beliefs().front();
+  ASSERT_EQ(gone.attribute, "population");
+  ASSERT_TRUE(sys->Explain(gone.subject, gone.attribute).ok());
+
+  // Rebuild from a view without populations: the old key's lineage is
+  // still in the graph, but the System no longer holds that belief.
+  ASSERT_TRUE(sys->RunProgram("CREATE VIEW temps AS EXTRACT temp_sentence "
+                              "FROM pages;")
+                  .ok());
+  ASSERT_TRUE(sys->BuildBeliefsFromView("temps").ok());
+  ASSERT_FALSE(sys->beliefs().empty());
+  for (const uncertainty::AttributeBelief& b : sys->beliefs()) {
+    ASSERT_NE(b.attribute, "population");
+    auto why = sys->Explain(b.subject, b.attribute);
+    ASSERT_TRUE(why.ok()) << b.subject << "." << b.attribute;
+    EXPECT_NE(why->find("belief " + b.subject + "." + b.attribute),
+              std::string::npos);
+  }
+  auto stale = sys->Explain(gone.subject, gone.attribute);
+  EXPECT_EQ(stale.status().code(), StatusCode::kNotFound)
+      << (stale.ok() ? *stale : stale.status().ToString());
+  EXPECT_FALSE(sys->Explain("Nowhere", "temp_01").ok());
+}
+
 TEST_F(SystemFixture, FeedbackImprovesAccuracy) {
   ASSERT_TRUE(sys->RunProgram(
                      "CREATE VIEW facts AS EXTRACT infobox, "
@@ -202,6 +235,130 @@ TEST_F(SystemFixture, FeedbackRequiresCrowd) {
   std::vector<hi::SimulatedUser> empty;
   EXPECT_FALSE(
       sys->RunFeedbackRound(MakeOracle(), &empty, {}).ok());
+}
+
+// Bit-exact equality of two belief sets (values, probabilities, support).
+bool SameBeliefs(const std::vector<uncertainty::AttributeBelief>& a,
+                 const std::vector<uncertainty::AttributeBelief>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].subject != b[i].subject || a[i].attribute != b[i].attribute ||
+        a[i].alternatives.size() != b[i].alternatives.size()) {
+      return false;
+    }
+    for (size_t j = 0; j < a[i].alternatives.size(); ++j) {
+      const uncertainty::ValueAlternative& x = a[i].alternatives[j];
+      const uncertainty::ValueAlternative& y = b[i].alternatives[j];
+      if (x.value != y.value || x.probability != y.probability ||
+          x.supporting_facts != y.supporting_facts) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST_F(SystemFixture, FeedbackRoundAsksInRankOrderWithinBudget) {
+  const char* kFacts =
+      "CREATE VIEW facts AS EXTRACT infobox, temp_sentence, "
+      "population_sentence, founded_sentence, elevation_sentence "
+      "FROM pages;";
+  ASSERT_TRUE(sys->RunProgram(kFacts).ok());
+  ASSERT_TRUE(sys->BuildBeliefsFromView("facts").ok());
+
+  // Rank order: |top - 0.5| ascending, belief index on ties.
+  const std::vector<uncertainty::AttributeBelief> before = sys->beliefs();
+  auto top = [&](size_t i) {
+    const uncertainty::ValueAlternative* t = before[i].Top();
+    return t == nullptr ? 0.0 : t->probability;
+  };
+  std::vector<size_t> order(before.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    double ua = std::abs(top(a) - 0.5), ub = std::abs(top(b) - 0.5);
+    return ua != ub ? ua < ub : a < b;
+  });
+
+  // The oracle records every call and cannot answer every third key it
+  // is asked (nor any key the ground truth lacks).
+  System::Oracle truth = MakeOracle();
+  std::vector<std::pair<std::string, std::string>> calls;
+  System::Oracle recording = [&](const std::string& subject,
+                                 const std::string& attribute)
+      -> std::optional<std::string> {
+    calls.emplace_back(subject, attribute);
+    if (calls.size() % 3 == 0) return std::nullopt;
+    return truth(subject, attribute);
+  };
+  System::FeedbackOptions options;
+  options.budget = 25;
+  options.answers_per_task = 3;
+  std::vector<std::pair<std::string, std::string>> expected;
+  size_t answerable = 0;
+  for (size_t i : order) {
+    if (answerable == options.budget) break;
+    expected.emplace_back(before[i].subject, before[i].attribute);
+    if (expected.size() % 3 != 0 &&
+        truth(before[i].subject, before[i].attribute).has_value()) {
+      ++answerable;
+    }
+  }
+  ASSERT_EQ(answerable, options.budget) << "corpus too small for the budget";
+
+  auto crowd = hi::MakeCrowd(4, 0.7, 0.95, 13);
+  auto asked = sys->RunFeedbackRound(recording, &crowd, options);
+  ASSERT_TRUE(asked.ok()) << asked.status().ToString();
+  EXPECT_EQ(*asked, options.budget);
+  EXPECT_EQ(calls, expected);
+  // Every asked task collected answers_per_task answers, handed to the
+  // crowd round-robin.
+  std::vector<size_t> per_user(crowd.size(), 0);
+  for (size_t k = 0; k < options.budget * options.answers_per_task; ++k) {
+    ++per_user[k % crowd.size()];
+  }
+  for (size_t u = 0; u < crowd.size(); ++u) {
+    auto info = sys->users().GetUser(crowd[u].name());
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->feedback_count, per_user[u]) << crowd[u].name();
+  }
+
+  // A round whose tasks gather no answers asks the same count and changes
+  // neither beliefs nor reputations.
+  const std::vector<uncertainty::AttributeBelief> settled = sys->beliefs();
+  std::map<std::string, double> reputations = sys->users().ReputationWeights();
+  options.answers_per_task = 0;
+  auto silent = sys->RunFeedbackRound(truth, &crowd, options);
+  ASSERT_TRUE(silent.ok());
+  EXPECT_EQ(*silent, options.budget);
+  EXPECT_TRUE(SameBeliefs(sys->beliefs(), settled));
+  EXPECT_EQ(sys->users().ReputationWeights(), reputations);
+
+  // Same seed and crowd: identical beliefs under every aggregation mode.
+  for (System::Aggregation mode :
+       {System::Aggregation::kMajority, System::Aggregation::kWeighted,
+        System::Aggregation::kDawidSkene}) {
+    std::vector<std::vector<uncertainty::AttributeBelief>> ends;
+    for (int copy = 0; copy < 2; ++copy) {
+      auto other = std::move(System::Create(System::Options{})).value();
+      other->RegisterStandardOperators();
+      ASSERT_TRUE(other->IngestCrawl(docs).ok());
+      ASSERT_TRUE(other->RunProgram(kFacts).ok());
+      ASSERT_TRUE(other->BuildBeliefsFromView("facts").ok());
+      auto noisy = hi::MakeCrowd(7, 0.55, 0.9, 29);
+      System::FeedbackOptions o;
+      o.budget = 40;
+      o.answers_per_task = 4;
+      o.aggregation = mode;
+      for (int round = 0; round < 2; ++round) {
+        ASSERT_TRUE(other->RunFeedbackRound(truth, &noisy, o).ok());
+      }
+      ends.push_back(other->beliefs());
+    }
+    EXPECT_TRUE(SameBeliefs(ends[0], ends[1]))
+        << "mode " << static_cast<int>(mode);
+    EXPECT_FALSE(SameBeliefs(ends[0], before))
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 TEST_F(SystemFixture, MaterializeAndRecover) {
@@ -437,6 +594,68 @@ TEST_F(SystemFixture, RefreshViewAfterCrawl) {
   for (const auto& r : refreshed.rows()) a.insert(key(r));
   for (const auto& r : rebuilt->rows()) b.insert(key(r));
   EXPECT_EQ(a, b);
+}
+
+TEST_F(SystemFixture, RefreshAfterRefusedCrawlSeesItsChanges) {
+  const char* kFacts =
+      "CREATE VIEW facts AS EXTRACT infobox, population_sentence FROM "
+      "pages;";
+  ASSERT_TRUE(sys->RunProgram(kFacts).ok());
+  // Crawl 2 revises the infobox population of the first city pages.
+  text::DocumentCollection day2 = docs;
+  std::vector<std::string> revised;
+  size_t last_revised = 0;
+  for (size_t i = 0; i < day2.size() && revised.size() < 4; ++i) {
+    std::string& text = day2.docs[i].text;
+    const std::string field = "| population = ";
+    size_t at = text.find(field);
+    if (at == std::string::npos) continue;
+    at += field.size();
+    std::string value = std::to_string(1000003 + 7 * revised.size());
+    text.replace(at, text.find('\n', at) - at, value);
+    revised.push_back(value);
+    last_revised = i;
+  }
+  ASSERT_EQ(revised.size(), 4u);
+  ASSERT_LT(last_revised + 1, day2.size());
+  {
+    // Refused at the crawl's last page: every revised page was hashed and
+    // appended before the refusal.
+    ScopedFailpoint refuse("snapshot.append",
+                           FailpointRegistry::Spec::Nth(day2.size()));
+    ASSERT_FALSE(sys->IngestCrawl(day2).ok());
+  }
+  ASSERT_TRUE(sys->IngestCrawl(day2).ok());
+  EXPECT_GE(sys->context().dirty_docs.size(), revised.size());
+  auto results = sys->RunProgram("REFRESH VIEW facts;");
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+
+  // Equivalence: a fresh System's extraction over the same crawl.
+  auto fresh = std::move(System::Create(System::Options{})).value();
+  fresh->RegisterStandardOperators();
+  ASSERT_TRUE(fresh->IngestCrawl(day2).ok());
+  ASSERT_TRUE(fresh->RunProgram(kFacts).ok());
+  auto key = [](const query::Row& r) {
+    std::string k;
+    for (const auto& v : r) k += v.ToString() + "\x1f";
+    return k;
+  };
+  std::multiset<std::string> refreshed, rebuilt;
+  for (const auto& r : sys->View("facts")->rows()) refreshed.insert(key(r));
+  for (const auto& r : fresh->View("facts")->rows()) rebuilt.insert(key(r));
+  EXPECT_TRUE(refreshed == rebuilt)
+      << refreshed.size() << " refreshed rows vs " << rebuilt.size()
+      << " rebuilt";
+  for (const std::string& value : revised) {
+    bool found = false;
+    for (const auto& r : sys->View("facts")->rows()) {
+      if (r[static_cast<size_t>(sys->View("facts")->ColumnIndex("value"))]
+              .ToString() == value) {
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << "revised population " << value;
+  }
 }
 
 TEST_F(SystemFixture, StandingQueriesAlertAcrossRefreshes) {

@@ -11,25 +11,6 @@
 namespace structura::hi {
 namespace {
 
-TEST(TaskQueueTest, MostUncertainFirst) {
-  TaskQueue q;
-  q.Push(MakeVerifyFactTask(1, "M", "a", "v", 0.95, 0));
-  q.Push(MakeVerifyFactTask(2, "M", "b", "v", 0.51, 0));
-  q.Push(MakeVerifyFactTask(3, "M", "c", "v", 0.70, 0));
-  EXPECT_EQ(q.Pop()->id, 2u);
-  EXPECT_EQ(q.Pop()->id, 3u);
-  EXPECT_EQ(q.Pop()->id, 1u);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(TaskQueueTest, FifoAmongTies) {
-  TaskQueue q;
-  q.Push(MakeVerifyFactTask(1, "M", "a", "v", 0.6, 0));
-  q.Push(MakeVerifyFactTask(2, "M", "b", "v", 0.6, 0));
-  EXPECT_EQ(q.Pop()->id, 1u);
-  EXPECT_EQ(q.Pop()->id, 2u);
-}
-
 TEST(TaskTest, RenderedQuestions) {
   Task t = MakeVerifyMatchTask(1, "David Smith", "D. Smith", 0.8, 5);
   EXPECT_NE(t.question.find("David Smith"), std::string::npos);
